@@ -290,6 +290,34 @@ func TestRunArenaGolden(t *testing.T) {
 	}
 }
 
+// TestRunSessionGolden pins `macsim session -replay` of a steered
+// checkpoint to the checked-in golden stream. The log raises the load
+// near capacity, turns on a duty-cycle jammer, hot-swaps the protocol
+// over a backlog of hundreds and switches the jammer off, so arrivals,
+// deliveries, collision redraws and the swap rebuild all sit on the
+// pinned draw sequence. Comparing live output against replay in one
+// binary cannot catch a draw-order change; this golden can.
+func TestRunSessionGolden(t *testing.T) {
+	out, err := capture(t, func() error {
+		return run([]string{"session", "-replay", "testdata/session_checkpoint.json"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/session_golden.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(golden) {
+		t.Fatalf("session replay diverges from testdata/session_golden.txt:\n%s", out)
+	}
+	for _, want := range []string{`"set-lambda"`, `"pattern"`, `"loglog-iterated"`, `"mode":"off"`, `"reason":"maxWindows"`} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("session golden missing %s", want)
+		}
+	}
+}
+
 // TestRunArenaCSVAndJSON: the CSV and text renderings come verbatim
 // from the result document, so the CLI's bytes are exactly what
 // /v1/arena serves.

@@ -23,14 +23,15 @@
 // (fair) protocols run on the exact per-node simulator and are meant for
 // moderate sizes. Windowed (back-off) protocols are oblivious to the
 // channel between their own transmissions, which admits an event-driven
-// fast path (RunWindowEvent): transmissions are scheduled into a min-heap
-// keyed by slot and the engine jumps between occupied slots in O(log n)
-// per event, scaling dynamic workloads to millions of messages while
-// remaining exact in distribution (see event.go).
+// fast path: WindowEngine keeps every station's next transmission in a
+// kernel.Calendar timing wheel and jumps between occupied slots in
+// amortized O(1) per event, scaling dynamic workloads to millions of
+// messages while remaining exact in distribution (see event.go).
+// RunWindowEvent steps it to completion; internal/session steps it one
+// aggregation window at a time.
 package dynamic
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -182,10 +183,9 @@ type config struct {
 	clock    Clock
 	maxSlots uint64
 	jammed   func(slot uint64) bool
-	ctx      context.Context
 }
 
-// Option configures RunFair and RunWindow.
+// Option configures the Run* functions.
 type Option func(*config)
 
 // WithClock selects the station clock mode (default ClockLocal).
@@ -208,16 +208,6 @@ func WithMaxSlots(n uint64) Option {
 // mask. A nil predicate leaves the channel clean.
 func WithJammer(jammed func(slot uint64) bool) Option {
 	return func(cfg *config) { cfg.jammed = jammed }
-}
-
-// WithContext makes the run cancelable: RunWindowEvent checks ctx
-// periodically (every few hundred events, so the check stays off the
-// hot path) and returns ctx.Err() mid-run instead of simulating to
-// completion. Long-running consumers — internal/session lives on this
-// engine — need teardown that does not wait out a 20-million-slot
-// budget. A nil or background context disables the checks.
-func WithContext(ctx context.Context) Option {
-	return func(cfg *config) { cfg.ctx = ctx }
 }
 
 // wrap applies the configured clock to a station with the given arrival.

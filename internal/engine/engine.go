@@ -56,13 +56,6 @@ var ErrSlotLimit = errors.New("engine: slot limit exceeded before all messages w
 // to terminate livelocked protocols under test.
 const DefaultMaxSlots = 10_000_000_000
 
-// SuccessProb returns P₁(m, p) = m·p·(1−p)^(m−1), the probability that a
-// slot carries a successful delivery when m active stations each transmit
-// with probability p. It is shared with the event-skip kernel.
-func SuccessProb(m int, p float64) float64 {
-	return kernel.SuccessProb(m, p)
-}
-
 // FairRun simulates static k-selection under the fair protocol ctrl and
 // returns the number of slots until the k-th delivery. maxSlots of 0
 // means DefaultMaxSlots.
@@ -104,7 +97,7 @@ func FairRunSlot(k int, ctrl protocol.Controller, src *rng.Rand, maxSlots uint64
 	}
 	for slot := uint64(1); slot <= maxSlots; slot++ {
 		p := ctrl.Prob(slot)
-		success := src.Bernoulli(SuccessProb(m, p))
+		success := src.Bernoulli(kernel.SuccessProb(m, p))
 		if success {
 			m--
 		}

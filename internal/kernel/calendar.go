@@ -7,10 +7,10 @@ import (
 
 // Calendar is a two-level timing wheel holding pending transmission
 // attempts: station ids keyed by future slot numbers. It is the event
-// queue of the event-driven engines in internal/dynamic and internal/sim,
-// replacing a binary min-heap: Schedule and PopGroup cost amortized O(1)
-// per attempt instead of O(log n), and popping a slot yields the whole
-// colliding group at once.
+// queue of dynamic.WindowEngine, the windowed event engine, replacing a
+// binary min-heap: Schedule and PopGroup cost amortized O(1) per attempt
+// instead of O(log n), and popping a slot yields the whole colliding
+// group at once.
 //
 //   - Level 0 is a window of calL0Len consecutive slots, one bucket per
 //     slot, with an occupancy bitmap scanned by trailing-zero counts.
@@ -159,9 +159,9 @@ func (c *Calendar) PopGroup(buf []int32) (uint64, []int32) {
 
 // PeekWithin reports the earliest occupied slot if it is at most limit,
 // without removing anything. Crucially for callers that generate work
-// lazily — internal/session schedules each aggregation window's
-// arrivals only when the window opens — the scan position never
-// advances past limit: level-1 buckets are spilled (and the overflow
+// lazily — live sessions add each aggregation window's arrivals to
+// dynamic.WindowEngine only when the window opens — the scan position
+// never advances past limit: level-1 buckets are spilled (and the overflow
 // re-based) only when their span begins at or before limit, so after a
 // miss every slot strictly after limit remains schedulable. The wheels
 // are monotone (everything outside the level-0 window lies at higher

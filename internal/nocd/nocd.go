@@ -38,8 +38,8 @@
 // via the standard protocol adapters, and all three declare event-skip
 // contracts: Cascade and RobustLadder implement
 // protocol.SkipController (their probabilities are piecewise constant
-// between state changes), and RepetitionLadder inherits
-// protocol.AttemptStation through protocol.WindowStation. KS tests in
+// between state changes), and RepetitionLadder is a windowed schedule
+// that dynamic.WindowEngine drives event by event. KS tests in
 // this package hold the fast paths to the per-slot reference
 // distributions.
 package nocd
@@ -162,8 +162,9 @@ func (c *Cascade) SkipTo(s uint64) {
 // RepetitionLadder is the Chen–Jiang–Zheng-style windowed schedule:
 // phase i emits ⌈iᶿ⌉ windows of 2ⁱ slots. It implements
 // protocol.Schedule; stations adapted via protocol.NewWindowStation
-// are channel-oblivious (ack-only) and event-skippable through
-// protocol.AttemptStation. Create instances with NewRepetitionLadder.
+// are channel-oblivious (ack-only), so the windowed event engine
+// (dynamic.WindowEngine) skips their silent slots. Create instances
+// with NewRepetitionLadder.
 type RepetitionLadder struct {
 	theta float64
 	phase int // current phase i; window size 2^i

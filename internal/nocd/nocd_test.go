@@ -5,11 +5,11 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/dynamic"
 	"repro/internal/engine"
 	"repro/internal/nocd"
 	"repro/internal/protocol"
 	"repro/internal/rng"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -40,13 +40,8 @@ func mustLadder(t testing.TB) *nocd.RepetitionLadder {
 	return l
 }
 
-func ladderStations(t testing.TB, k int) []protocol.Station {
-	t.Helper()
-	stations := make([]protocol.Station, k)
-	for i := range stations {
-		stations[i] = protocol.NewWindowStation(mustLadder(t))
-	}
-	return stations
+func newLadderSched() (protocol.Schedule, error) {
+	return nocd.NewRepetitionLadder(nocd.DefaultLadderTheta)
 }
 
 func TestParameterValidation(t *testing.T) {
@@ -306,7 +301,8 @@ func TestFairAggregateMatchesPerNode(t *testing.T) {
 }
 
 // TestWindowEventMatchesPerSlot is the KS validation for the repetition
-// ladder's event-driven per-node path, mirroring sim/event_test.go.
+// ladder on the windowed event engine: dynamic.RunWindowEvent against
+// the per-slot simulator behind dynamic.RunWindow, on a batch of k.
 func TestWindowEventMatchesPerSlot(t *testing.T) {
 	t.Parallel()
 	for _, k := range []int{2, 8, 32} {
@@ -317,18 +313,21 @@ func TestWindowEventMatchesPerSlot(t *testing.T) {
 			event := make([]float64, draws)
 			exact := make([]float64, draws)
 			for i := 0; i < draws; i++ {
-				resE, err := sim.Run(ladderStations(t, k),
-					rng.NewStream(99, "lev", fmt.Sprint(k), fmt.Sprint(i)), sim.WithEventDriven())
+				resE, err := dynamic.RunWindowEvent(dynamic.Batch(k), newLadderSched,
+					rng.NewStream(99, "lev", fmt.Sprint(k), fmt.Sprint(i)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				resX, err := sim.Run(ladderStations(t, k),
+				resX, err := dynamic.RunWindow(dynamic.Batch(k), newLadderSched,
 					rng.NewStream(99, "lex", fmt.Sprint(k), fmt.Sprint(i)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				event[i] = float64(resE.Slots)
-				exact[i] = float64(resX.Slots)
+				if !resE.Completed || !resX.Completed {
+					t.Fatalf("draw %d: incomplete run (event %v, per-slot %v)", i, resE.Completed, resX.Completed)
+				}
+				event[i] = float64(resE.Completion)
+				exact[i] = float64(resX.Completion)
 			}
 			crit := 1.95 * math.Sqrt(2.0/draws)
 			if d := stats.KSDistance(event, exact); d > crit {

@@ -1,32 +1,29 @@
 package protocol
 
-import "repro/internal/rng"
-
-// This file defines the event-skip contract: the declarations that let a
-// protocol promise "my transmission probability is constant (or boundedly
-// varying) until my state changes", so that the kernel in internal/kernel
-// can jump straight to the next interesting slot with one geometric draw
-// instead of flipping a Bernoulli coin per slot.
+// This file defines the event-skip contract for fair protocols: the
+// declarations that let a protocol promise "my transmission probability
+// is constant (or boundedly varying) until my state changes", so that the
+// kernel in internal/kernel can jump straight to the next interesting
+// slot with one geometric draw instead of flipping a Bernoulli coin per
+// slot.
 //
-// Two such contracts exist, one per protocol family:
+// SkipController extends Controller. The controller describes the
+// channel's immediate future as a SkipPhase — a stretch of slots over
+// which, as long as no success occurs, the probability sequence is
+// periodic with one constant "special" class and one boundedly-varying
+// "regular" class. The kernel samples the next success directly: exactly
+// for the constant class, by thinning (rejection against a dominating
+// constant) for the varying class.
 //
-//   - SkipController extends Controller for fair protocols. The controller
-//     describes the channel's immediate future as a SkipPhase — a stretch
-//     of slots over which, as long as no success occurs, the probability
-//     sequence is periodic with one constant "special" class and one
-//     boundedly-varying "regular" class. The kernel samples the next
-//     success directly: exactly for the constant class, by thinning
-//     (rejection against a dominating constant) for the varying class.
+// Windowed protocols need no such declaration: their stations are
+// channel-oblivious, so dynamic.WindowEngine draws each station's next
+// attempt straight from its Schedule via DrawWindow and jumps from
+// occupied slot to occupied slot.
 //
-//   - AttemptStation extends Station for windowed protocols, whose
-//     stations are channel-oblivious: the station exposes the slot of its
-//     next transmission attempt so a calendar queue can jump from occupied
-//     slot to occupied slot.
-//
-// Not every protocol can declare skip-safe phases. The tree-splitting
-// protocols in internal/cd contend in every slot and mutate their group
-// stack on every ternary outcome, so they have no quiet stretches to skip
-// and intentionally implement neither interface; the per-slot simulator
+// Not every protocol can skip. The tree-splitting protocols in
+// internal/cd contend in every slot and mutate their group stack on every
+// ternary outcome, so they have no quiet stretches to skip and
+// intentionally implement no skip contract; the per-slot simulator
 // remains their only driver (see internal/cd's package comment).
 
 // SkipPhase describes a fair controller's transmission probabilities over
@@ -85,41 +82,3 @@ type SkipController interface {
 	// End+1 of the current phase.
 	SkipTo(s uint64)
 }
-
-// AttemptStation is a Station whose transmission slots can be enumerated
-// without visiting the slots in between. Implementations promise that
-// WillTransmit depends only on the station's own schedule and randomness —
-// never on Feedback — which is what makes jumping over unvisited slots
-// sound (nothing the station would have heard can change its behavior).
-//
-// A station must be driven through exactly one of its interfaces per
-// execution: either slot-by-slot via WillTransmit, or event-by-event via
-// NextAttempt. The two consume randomness differently.
-type AttemptStation interface {
-	Station
-
-	// NextAttempt returns the first slot strictly greater than after in
-	// which the station transmits, advancing its schedule state past that
-	// slot's window. after = 0 yields the first attempt; for a station
-	// whose message arrives at slot a on a global window clock, seeding
-	// with after = a−1 reproduces WillTransmit's fast-forward semantics
-	// (windows whose chosen slot precedes the arrival are missed).
-	NextAttempt(after uint64, src *rng.Rand) (uint64, error)
-}
-
-// NextAttempt implements AttemptStation by drawing windows until one's
-// uniformly chosen slot lands beyond after, via the same DrawWindow
-// primitive WillTransmit uses.
-func (s *WindowStation) NextAttempt(after uint64, src *rng.Rand) (uint64, error) {
-	for s.chosenSlot <= after {
-		end, chosen, err := DrawWindow(s.sched, s.windowEnd, src)
-		if err != nil {
-			return 0, err
-		}
-		s.windowEnd = end
-		s.chosenSlot = chosen
-	}
-	return s.chosenSlot, nil
-}
-
-var _ AttemptStation = (*WindowStation)(nil)

@@ -33,6 +33,28 @@ func specParts(t *testing.T, kind spec.ExperimentKind, body string) (key string,
 	return key, params
 }
 
+// waitTerminalRecord polls the store until the job's record is
+// terminal. A worker finishes the in-memory job before it writes the
+// terminal record, so a poll that has seen the job done can still read
+// the running record for the length of one store write.
+func waitTerminalRecord(t *testing.T, st store.Store, id string) store.JobRecord {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		rec, ok, err := st.GetJob(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok && store.TerminalStatus(rec.Status) {
+			return rec
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("record never became terminal: %+v (ok=%v)", rec, ok)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
 func TestSubmitPersistsQueuedRecordBeforeResponse(t *testing.T) {
 	st, err := store.OpenFile(t.TempDir())
 	if err != nil {
@@ -52,9 +74,8 @@ func TestSubmitPersistsQueuedRecordBeforeResponse(t *testing.T) {
 	}
 	close(gate)
 	waitDone(t, ts.URL, sub.ID)
-	rec, ok, _ = st.GetJob(sub.ID)
-	if !ok || rec.Status != store.StatusDone {
-		t.Fatalf("terminal record = %+v (ok=%v)", rec, ok)
+	if rec := waitTerminalRecord(t, st, sub.ID); rec.Status != store.StatusDone {
+		t.Fatalf("terminal record = %+v", rec)
 	}
 	if _, ok, _ := st.GetResult(sub.Key); !ok {
 		t.Fatal("result document not persisted")
@@ -113,9 +134,8 @@ func TestRecoveryRequeuesLeaseExpiredRecord(t *testing.T) {
 		t.Fatalf("lease-expired job = %s (%s)", v.Status, v.Error)
 	}
 	// The requeue cost one retry, recorded durably.
-	final, ok, _ := st.GetJob(rec.ID)
-	if !ok || final.Status != store.StatusDone || final.Retries != 1 {
-		t.Fatalf("final record = %+v (ok=%v)", final, ok)
+	if final := waitTerminalRecord(t, st, rec.ID); final.Status != store.StatusDone || final.Retries != 1 {
+		t.Fatalf("final record = %+v", final)
 	}
 }
 
@@ -177,9 +197,8 @@ func TestRecoveryDefersLiveLease(t *testing.T) {
 	if v := waitDone(t, ts.URL, rec.ID); v.Status != StatusDone {
 		t.Fatalf("deferred job = %s (%s)", v.Status, v.Error)
 	}
-	final, ok, _ := st.GetJob(rec.ID)
-	if !ok || final.Retries != 1 {
-		t.Fatalf("final record = %+v (ok=%v)", final, ok)
+	if final := waitTerminalRecord(t, st, rec.ID); final.Retries != 1 {
+		t.Fatalf("final record = %+v", final)
 	}
 }
 

@@ -1,5 +1,7 @@
 // The session engine: an unbounded dynamic simulation advanced one
-// aggregation window at a time on the event-skip kernel.
+// aggregation window at a time on dynamic.WindowEngine, the windowed
+// event engine batch runs use too. This file adds only what is
+// session-specific: per-window arrivals, controls and aggregation.
 //
 // Determinism is the load-bearing property. A session draws from ONE
 // rng stream in a strict order fixed entirely by (seed, validated
@@ -20,12 +22,9 @@
 // that pausing delays which window the *next* control lands in; that
 // is recorded faithfully by the stamp itself, so replay agrees.
 //
-// The kernel.Calendar is strictly monotone: nothing can be scheduled
-// behind its scan position. Arrivals are generated lazily per window,
-// so the engine must never let the calendar advance past the current
-// window's end — Calendar.PeekWithin exists exactly for this: it
-// answers "is the next event inside this window?" without moving the
-// scan position past the boundary.
+// Arrivals are generated lazily per window, so the engine steps the
+// channel only to the current window's last slot: later arrivals stay
+// schedulable (dynamic.WindowEngine.StepTo never scans past its end).
 
 package session
 
@@ -33,46 +32,21 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/dynamic"
 	"repro/internal/harness"
-	"repro/internal/kernel"
 	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/spec"
 	"repro/internal/stats"
 )
 
-// station is one backlogged message: its private window schedule
-// position and its arrival slot (for delivery latency).
-type station struct {
-	sched protocol.Schedule
-	// windowEnd is the last slot of the most recently drawn window.
-	windowEnd uint64
-	arrival   uint64
-}
-
-// next draws the station's next transmission slot via the same
-// protocol.DrawWindow primitive the batch engines use.
-func (st *station) next(src *rng.Rand) (uint64, error) {
-	end, chosen, err := protocol.DrawWindow(st.sched, st.windowEnd, src)
-	if err != nil {
-		return 0, err
-	}
-	st.windowEnd = end
-	return chosen, nil
-}
-
 // engine is the deterministic simulation core, shared verbatim by live
 // sessions and replay.
 type engine struct {
-	src      *rng.Rand
-	cal      *kernel.Calendar
-	stations map[int32]*station
-	nextID   int32
-	group    []int32 // reusable PopGroup buffer
+	src *rng.Rand
+	win *dynamic.WindowEngine
 
-	sys    *harness.WindowSystem // current protocol
 	lambda float64
-	jam    func(slot uint64) bool
 	window uint64 // aggregation window length in slots
 
 	next      uint64 // first slot of the next unsimulated window
@@ -80,28 +54,28 @@ type engine struct {
 	delivered uint64
 }
 
-// newEngine builds the engine for a validated spec.
+// newEngine builds the engine for a validated spec. Stations run on
+// their local clocks (the default dynamic deployment): the first window
+// opens at the arrival slot.
 func newEngine(sp spec.SessionSpec) (*engine, error) {
-	sys, err := windowSystem(sp.Protocol)
+	newSched, err := windowSchedules(sp.Protocol)
 	if err != nil {
 		return nil, err
 	}
+	src := rng.NewStream(sp.Seed, "session")
 	return &engine{
-		src:      rng.NewStream(sp.Seed, "session"),
-		cal:      kernel.NewCalendar(),
-		stations: make(map[int32]*station),
-		sys:      sys,
-		lambda:   sp.Lambda,
-		jam:      sp.Jam.Mask(),
-		window:   uint64(sp.Window),
-		next:     1,
+		src:    src,
+		win:    dynamic.NewWindowEngine(newSched, src, dynamic.ClockLocal, sp.Jam.Mask()),
+		lambda: sp.Lambda,
+		window: uint64(sp.Window),
+		next:   1,
 	}, nil
 }
 
-// windowSystem resolves a protocol spec to its windowed system,
-// rejecting fair protocols (spec validation already has; this guards
-// the library path).
-func windowSystem(p spec.ProtocolSpec) (*harness.WindowSystem, error) {
+// windowSchedules resolves a protocol spec to its windowed schedule
+// constructor, rejecting fair protocols (spec validation already has;
+// this guards the library path).
+func windowSchedules(p spec.ProtocolSpec) (func() (protocol.Schedule, error), error) {
 	sys, err := harness.SystemBySpec(p.Name, p.Params)
 	if err != nil {
 		return nil, err
@@ -110,7 +84,7 @@ func windowSystem(p spec.ProtocolSpec) (*harness.WindowSystem, error) {
 	if !ok {
 		return nil, fmt.Errorf("session: %q is not a windowed protocol", p.Name)
 	}
-	return ws, nil
+	return func() (protocol.Schedule, error) { return ws.NewSchedule(0) }, nil
 }
 
 // apply executes one content control at the current window boundary.
@@ -122,49 +96,20 @@ func (e *engine) apply(msg spec.ControlMessage) error {
 	case spec.ControlSetLambda:
 		e.lambda = msg.Lambda
 	case spec.ControlJam:
-		e.jam = msg.Jam.Mask()
+		e.win.SetJammer(msg.Jam.Mask())
 	case spec.ControlSwapProtocol:
-		sys, err := windowSystem(*msg.Protocol)
+		// Every backlogged station redraws its schedule under the new
+		// protocol from the boundary slot on, in arrival order.
+		newSched, err := windowSchedules(*msg.Protocol)
 		if err != nil {
 			return err
 		}
-		return e.swap(sys)
+		return e.win.Swap(newSched, e.next)
 	case spec.ControlStop:
 		// Termination is decided by the caller; nothing to simulate.
 	default:
 		return fmt.Errorf("session: control %q is not a content control", msg.Type)
 	}
-	return nil
-}
-
-// swap hot-swaps the protocol at the window boundary: every backlogged
-// station redraws its schedule under the new protocol from the
-// boundary slot on, in ascending station-id order (the deterministic
-// order), into a fresh calendar (the old one's pending attempts are
-// void, and a timing wheel has no delete).
-func (e *engine) swap(sys *harness.WindowSystem) error {
-	e.sys = sys
-	ids := make([]int32, 0, len(e.stations))
-	for id := range e.stations {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	cal := kernel.NewCalendar()
-	for _, id := range ids {
-		st := e.stations[id]
-		sched, err := sys.NewSchedule(0)
-		if err != nil {
-			return err
-		}
-		st.sched = sched
-		st.windowEnd = e.next - 1
-		slot, err := st.next(e.src)
-		if err != nil {
-			return err
-		}
-		cal.Schedule(slot, id)
-	}
-	e.cal = cal
 	return nil
 }
 
@@ -183,9 +128,7 @@ func (e *engine) simulateWindow() (spec.SessionWindow, error) {
 	var lat stats.Summary
 
 	// Arrivals: the Poisson count for the window, then one uniform slot
-	// each, sorted so station ids and schedule seeding follow arrival
-	// order. Stations run on their local clocks (the default dynamic
-	// deployment): the first window opens at the arrival slot.
+	// each, sorted so stations are added in arrival order.
 	n := e.src.Poisson(e.lambda * float64(e.window))
 	if n > 0 {
 		slots := make([]uint64, n)
@@ -194,54 +137,26 @@ func (e *engine) simulateWindow() (spec.SessionWindow, error) {
 		}
 		sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
 		for _, arrival := range slots {
-			sched, err := e.sys.NewSchedule(0)
-			if err != nil {
+			if err := e.win.Add(arrival); err != nil {
 				return agg, err
 			}
-			id := e.nextID
-			e.nextID++
-			st := &station{sched: sched, windowEnd: arrival - 1, arrival: arrival}
-			slot, err := st.next(e.src)
-			if err != nil {
-				return agg, err
-			}
-			e.stations[id] = st
-			e.cal.Schedule(slot, id)
 		}
 		agg.Arrivals = n
 	}
 
-	// Drain every transmission event inside the window. PeekWithin
-	// keeps the calendar's scan position at or before the boundary, so
-	// the next window's arrivals (slots > end) stay schedulable.
-	for {
-		slot, ok := e.cal.PeekWithin(end)
-		if !ok {
-			break
-		}
-		slot, e.group = e.cal.PopGroup(e.group)
-		if len(e.group) == 1 && !(e.jam != nil && e.jam(slot)) {
-			id := e.group[0]
-			st := e.stations[id]
-			lat.Add(float64(slot - st.arrival + 1))
-			delete(e.stations, id)
-			agg.Delivered++
-			continue
-		}
-		agg.Collisions++
-		for _, id := range e.group {
-			next, err := e.stations[id].next(e.src)
-			if err != nil {
-				return agg, err
-			}
-			e.cal.Schedule(next, id)
-		}
+	collisions, err := e.win.StepTo(end, func(arrival, slot uint64) {
+		lat.Add(float64(slot - arrival + 1))
+		agg.Delivered++
+	})
+	if err != nil {
+		return agg, err
 	}
 
 	e.next = end + 1
 	e.widx++
 	e.delivered += uint64(agg.Delivered)
-	agg.Backlog = len(e.stations)
+	agg.Collisions = int(collisions)
+	agg.Backlog = e.win.Backlog()
 	agg.Throughput = float64(agg.Delivered) / float64(e.window)
 	if agg.Delivered > 0 {
 		agg.LatencyP99 = lat.Quantile(0.99)

@@ -388,7 +388,7 @@ func (s *Session) finish(e *engine, reason, status string, err error) {
 		Windows:   e.widx,
 		Slots:     e.next - 1,
 		Delivered: e.delivered,
-		Backlog:   len(e.stations),
+		Backlog:   e.win.Backlog(),
 	}
 	s.mu.Lock()
 	end.Dropped = s.dropped

@@ -12,11 +12,8 @@
 //
 // The simulator executes protocol automata node by node and slot by slot.
 // It is the ground truth against which the scalable aggregate engines in
-// internal/engine are validated; use those engines for large k. For
-// feedback-oblivious stations (protocol.AttemptStation) an opt-in
-// event-driven path built on internal/kernel skips silent slots entirely
-// (WithEventDriven); the slot-by-slot loop remains the reference it is
-// validated against.
+// internal/engine and the windowed event engine in internal/dynamic are
+// validated; use those engines for large k.
 package sim
 
 import (
@@ -107,7 +104,6 @@ type config struct {
 	arrivals      []uint64
 	jammed        func(slot uint64) bool
 	stopAfter     int
-	event         bool
 }
 
 // Option configures Run.
@@ -169,9 +165,6 @@ func Run(stations []protocol.Station, src *rng.Rand, opts ...Option) (Result, er
 	}
 	if cfg.arrivals != nil && len(cfg.arrivals) != len(stations) {
 		return Result{}, fmt.Errorf("sim: %d arrival slots for %d stations", len(cfg.arrivals), len(stations))
-	}
-	if cfg.event {
-		return runEvent(stations, src, &cfg)
 	}
 
 	var res Result

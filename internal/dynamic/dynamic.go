@@ -19,9 +19,14 @@
 //     (as in a TDMA deployment), which keeps the AT/BT step parity
 //     network-wide and avoids the cross-parity livelock.
 //
-// Stations are no longer state-synchronized either way, so the adaptive
-// (fair) protocols run on the exact per-node simulator and are meant for
-// moderate sizes. Windowed (back-off) protocols are oblivious to the
+// Stations are no longer state-synchronized either way, so a fair
+// protocol still costs one coin per active station per slot. RunFair
+// draws those coins in the per-node simulator's order, byte-identical to
+// sim.Run, but reads each station's probability from its cached
+// protocol.SkipPhase and calls the controller only at phase ends and
+// successes (see fair.go); it is meant for moderate sizes. RunMixed
+// keeps the per-node simulator for heterogeneous populations and is
+// RunFair's oracle. Windowed (back-off) protocols are oblivious to the
 // channel between their own transmissions, which admits an event-driven
 // fast path: WindowEngine keeps every station's next transmission in a
 // kernel.Calendar timing wheel and jumps between occupied slots in
@@ -219,18 +224,20 @@ func (cfg *config) wrap(st protocol.Station, arrival uint64) protocol.Station {
 }
 
 // RunFair executes a dynamic workload under a fair protocol; newCtrl
-// builds one private controller per station.
+// builds one private controller per station. Its draws and result are
+// those of RunMixed over protocol.NewFairStation, but stations on a
+// constant skip phase skip their per-slot controller calls (fair.go).
 func RunFair(w Workload, newCtrl func() (protocol.Controller, error), src *rng.Rand, opts ...Option) (Result, error) {
 	cfg := newConfig(opts)
-	stations := make([]protocol.Station, w.N())
-	for i := range stations {
+	ctrls := make([]protocol.Controller, w.N())
+	for i := range ctrls {
 		ctrl, err := newCtrl()
 		if err != nil {
 			return Result{}, err
 		}
-		stations[i] = cfg.wrap(protocol.NewFairStation(ctrl), w.Arrivals[i])
+		ctrls[i] = ctrl
 	}
-	return run(w, stations, src, cfg)
+	return runFair(w, ctrls, src, cfg), nil
 }
 
 // RunWindow executes a dynamic workload under a windowed protocol;

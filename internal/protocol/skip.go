@@ -44,6 +44,11 @@ package protocol
 // success changes controller state in a way the bounds no longer cover
 // (e.g. Log-Fails Adaptive's patience flush); a success anywhere in the
 // phase ends it early. Either way the kernel re-requests a fresh phase.
+//
+// dynamic.RunFair reads a phase with a constant regular class in place
+// of Prob: SpecialProb and RegularLo must then equal what Prob returns
+// on those slots bit for bit, or its draws drift from the per-slot
+// simulator's.
 type SkipPhase struct {
 	End            uint64
 	Period         uint64

@@ -472,6 +472,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, kind spec.
 		s.writeJSON(w, http.StatusAccepted, submitResponse{jobView: existing.view()})
 		return
 	}
+	// A worker publishes its result before it retires the in-flight
+	// entry, so a duplicate whose cache read above raced that window
+	// finds the result now instead of simulating it again.
+	if result, ok := s.cache.get(key); ok {
+		s.mu.Unlock()
+		s.metrics.cacheHits.Add(1)
+		s.serveCached(w, kind, key, result)
+		return
+	}
 
 	// Admission: the tenant's token bucket first (429 with a bucket-
 	// derived Retry-After), then its queue share, then the global bound.

@@ -27,9 +27,12 @@
 // slot budget concentrates where variance is high.
 //
 // Windowed (back-off) protocols run on the event-driven engine
-// (dynamic.RunWindowEvent) and scale to millions of messages; adaptive
-// fair protocols, and any run with a mixed station population, run on
-// the exact per-node simulator and are practical at moderate sizes.
+// (dynamic.RunWindowEvent) and scale to millions of messages. Adaptive
+// fair protocols run on dynamic.RunFair, which keeps the per-node
+// simulator's draws (one coin per station per slot) but calls each
+// controller only at its skip-phase ends and at successes; runs with a
+// mixed station population stay on the exact per-node simulator. Both
+// are practical at moderate sizes.
 package throughput
 
 import (
@@ -139,7 +142,7 @@ type Protocol struct {
 	// Name is the display name.
 	Name string
 	// NewController builds a fresh fair-protocol controller per
-	// execution; fair protocols run on the exact per-node simulator.
+	// execution; fair protocols run on dynamic.RunFair.
 	NewController func() (protocol.Controller, error)
 	// NewSchedule builds a fresh windowed-protocol schedule per
 	// execution; windowed protocols run on the event-driven engine.
@@ -172,8 +175,9 @@ func (p Protocol) newStation() (protocol.Station, error) {
 }
 
 // run executes one scenario instance under the protocol's engine: the
-// event-driven engine for homogeneous windowed runs, the exact per-node
-// simulator for fair protocols and for any mixed station population.
+// event-driven engine for homogeneous windowed runs, dynamic.RunFair for
+// homogeneous fair runs, and the exact per-node simulator for any mixed
+// station population.
 func (p Protocol) run(inst scenario.Instance, src *rng.Rand, maxSlots uint64) (dynamic.Result, error) {
 	opts := []dynamic.Option{dynamic.WithClock(p.Clock), dynamic.WithMaxSlots(maxSlots)}
 	if inst.Jammed != nil {

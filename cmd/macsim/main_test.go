@@ -420,6 +420,37 @@ func TestRunSolveJSONGolden(t *testing.T) {
 	}
 }
 
+// TestRunJSONGoldens pins the -json documents of multi-point sweeps —
+// a fixed-rep Table 1 grid, an adaptive Table 1 grid and an adaptive
+// λ-sweep — byte for byte, so a change to how replications are
+// scheduled, folded or stopped shows up as a diff.
+func TestRunJSONGoldens(t *testing.T) {
+	cases := []struct {
+		golden string
+		args   []string
+	}{
+		{"table1_json_golden.txt", []string{"table1", "-maxexp", "5", "-runs", "2", "-seed", "1"}},
+		{"table1_adaptive_json_golden.txt", []string{"table1", "-maxexp", "4", "-epsilon", "0.05", "-seed", "1"}},
+		{"throughput_adaptive_json_golden.txt", []string{"throughput", "-lambdas", "0.05,0.2",
+			"-messages", "200", "-epsilon", "0.2", "-seed", "1"}},
+	}
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			out, err := capture(t, func() error { return run(append(c.args, "-json", "-quiet")) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden, err := os.ReadFile("testdata/" + c.golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out != string(golden) {
+				t.Fatalf("%v diverges from testdata/%s:\ngot:  %swant: %s", c.args, c.golden, out, golden)
+			}
+		})
+	}
+}
+
 // TestRunSolveStream: -stream emits NDJSON progress events plus the
 // terminal record, using the HTTP API's codecs.
 func TestRunSolveStream(t *testing.T) {

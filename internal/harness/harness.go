@@ -4,22 +4,21 @@
 // as the paper's Figure 1 (average steps vs k, log-log) and Table 1
 // (steps/nodes ratio vs the analysis constants).
 //
-// Runs execute in parallel across a worker pool; every run draws its
-// randomness from a stream derived from (master seed, system, k, run),
-// and per-run outcomes are folded into the aggregates in a fixed order
-// after all workers finish, so results are bit-for-bit reproducible
-// regardless of scheduling. Setting Sweep.Precision replaces the fixed
-// repetition count with the adaptive-precision engine of
-// internal/montecarlo: each (system, k) cell replicates until its
-// Student-t confidence interval meets the requested relative precision,
-// reusing the exact per-run streams of fixed mode.
+// Every (system, k) cell is one point of internal/montecarlo's
+// replication grid, so all runs share its single worker pool. Every run
+// draws its randomness from a stream derived from (master seed, system,
+// k, run), and each cell folds its runs in run order, so results are
+// bit-for-bit reproducible regardless of scheduling. Setting
+// Sweep.Precision replaces the fixed repetition count with adaptive
+// precision: each cell replicates until its Student-t confidence
+// interval meets the requested relative precision, reusing the exact
+// per-run streams of fixed mode.
 package harness
 
 import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -214,9 +213,9 @@ type Sweep struct {
 	// both modes, so MinReps == MaxReps == Runs reproduces fixed-rep
 	// results exactly. The zero value keeps the classic fixed-rep sweep.
 	Precision montecarlo.Precision
-	// Progress, if non-nil, is invoked after each completed run. It may
-	// be called concurrently from multiple workers and must be safe for
-	// concurrent use.
+	// Progress, if non-nil, is invoked after each completed run, outside
+	// any internal lock. It may be called concurrently from multiple
+	// workers and must be safe for concurrent use.
 	Progress func(system string, k int, run int, steps uint64)
 }
 
@@ -247,14 +246,11 @@ func (s Sweep) Run(systems []System) ([]SeriesResult, error) {
 }
 
 // RunContext is Run with cancellation: once ctx is canceled no further
-// run starts — workers drain the queued jobs without simulating and the
-// producer stops enqueueing — and ctx's error is returned. Runs already
-// executing finish (a single run is not interruptible); with the usual
-// many-runs grids cancellation therefore takes effect within one run.
+// run starts and ctx's error is returned, as is the first run error.
+// Runs already executing finish (a single run is not interruptible);
+// with the usual many-runs grids cancellation therefore takes effect
+// within one run.
 func (s Sweep) RunContext(ctx context.Context, systems []System) ([]SeriesResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	ks := s.Ks
 	if len(ks) == 0 {
 		ks = PaperKs(5)
@@ -265,10 +261,6 @@ func (s Sweep) RunContext(ctx context.Context, systems []System) ([]SeriesResult
 	if runs <= 0 {
 		runs = DefaultRuns
 	}
-	par := s.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 
 	results := make([]SeriesResult, len(systems))
 	for i, sys := range systems {
@@ -277,128 +269,34 @@ func (s Sweep) RunContext(ctx context.Context, systems []System) ([]SeriesResult
 			results[i].Cells[j].K = k
 		}
 	}
-
-	if s.Precision.Enabled() {
-		if err := s.runAdaptive(ctx, systems, results, par); err != nil {
-			return nil, err
-		}
-		return results, nil
+	// Point i of the grid is one (system, k) cell, largest k first so the
+	// long runs are not left for last. Run r of a cell draws the same
+	// stream in both modes, so MinReps == MaxReps == Runs reproduces
+	// fixed-rep results exactly.
+	cell := func(i int) (System, *Cell) {
+		n := len(systems)
+		return systems[i%n], &results[i%n].Cells[len(ks)-1-i/n]
 	}
-
-	// Fixed-rep mode: the grid is known up front, so all runs go through
-	// one worker pool. Per-run step counts are recorded into a
-	// pre-shaped grid (each job owns its slot — no lock) and folded in
-	// (system, k, run) order after the pool drains, which makes the
-	// floating-point accumulation independent of scheduling.
-	steps := make([][][]uint64, len(systems))
-	for i := range systems {
-		steps[i] = make([][]uint64, len(ks))
-		for j := range ks {
-			steps[i][j] = make([]uint64, runs)
-		}
-	}
-
-	type job struct{ sys, kIdx, run int }
-	jobs := make(chan job)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				// After cancellation, drain the remaining jobs without
-				// burning their (potentially minutes-long) budgets.
-				if ctx.Err() != nil {
-					continue
-				}
-				sys := systems[j.sys]
-				k := results[j.sys].Cells[j.kIdx].K
-				src := rng.NewStream(s.Seed, sys.Name(), fmt.Sprint(k), fmt.Sprint(j.run))
-				n, err := sys.Run(k, src)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					continue
-				}
-				steps[j.sys][j.kIdx][j.run] = n
-				if s.Progress != nil {
-					s.Progress(sys.Name(), k, j.run, n)
-				}
+	cells, err := montecarlo.Grid(ctx, s.Precision, runs, s.Parallelism, len(systems)*len(ks),
+		func(i, run int) (float64, func(bool), error) {
+			sys, c := cell(i)
+			n, err := sys.Run(c.K, rng.NewStream(s.Seed, sys.Name(), fmt.Sprint(c.K), fmt.Sprint(run)))
+			if err != nil {
+				return 0, nil, err
 			}
-		}()
-	}
-	// Schedule the largest k first so the long runs are not left for last.
-enqueue:
-	for kIdx := len(ks) - 1; kIdx >= 0; kIdx-- {
-		for sysIdx := range systems {
-			for run := 0; run < runs; run++ {
-				select {
-				case jobs <- job{sys: sysIdx, kIdx: kIdx, run: run}:
-				case <-ctx.Done():
-					break enqueue
-				}
+			if s.Progress != nil {
+				s.Progress(sys.Name(), c.K, run, n)
 			}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+			return float64(n), nil, nil
+		})
+	if err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	for sysIdx := range systems {
-		for kIdx := range ks {
-			cell := &results[sysIdx].Cells[kIdx]
-			for run := 0; run < runs; run++ {
-				cell.Steps.Add(float64(steps[sysIdx][kIdx][run]))
-			}
-		}
+	for i := range cells {
+		_, c := cell(i)
+		c.Steps = cells[i].Stats
 	}
 	return results, nil
-}
-
-// runAdaptive executes the sweep under the adaptive-precision engine:
-// cells are evaluated one at a time, each replicating across the worker
-// pool until its confidence interval meets the target (or MaxReps).
-// Replication r of a cell draws the identical stream fixed-rep run r
-// would, so the two modes agree exactly when MinReps == MaxReps ==
-// Runs.
-func (s Sweep) runAdaptive(ctx context.Context, systems []System, results []SeriesResult, par int) error {
-	prec := s.Precision.WithDefaults()
-	if err := prec.Validate(); err != nil {
-		return err
-	}
-	for sysIdx, sys := range systems {
-		for kIdx := range results[sysIdx].Cells {
-			cell := &results[sysIdx].Cells[kIdx]
-			k := cell.K
-			res, err := montecarlo.Run(ctx, prec, par, func(run int) (float64, error) {
-				src := rng.NewStream(s.Seed, sys.Name(), fmt.Sprint(k), fmt.Sprint(run))
-				n, err := sys.Run(k, src)
-				if err != nil {
-					return 0, err
-				}
-				if s.Progress != nil {
-					s.Progress(sys.Name(), k, run, n)
-				}
-				return float64(n), nil
-			})
-			if err != nil {
-				return err
-			}
-			cell.Steps = res.Stats
-		}
-	}
-	return nil
 }
 
 // GeometricKs returns n network sizes spaced geometrically from lo to hi

@@ -117,7 +117,7 @@ func FairRun(k int, ctrl protocol.SkipController, src *rng.Rand, maxSlots uint64
 			if qs := successProb(m, ph.SpecialProb); qs > 0 {
 				if first := firstResidue(slot, p, r); first <= end {
 					n := (end-first)/p + 1 // special slots in the phase
-					if g := geometric(src, log1m(qs)); g < n {
+					if g := geometric(src, rng.Log1m(qs)); g < n {
 						spec = first + g*p
 						specFound = true
 					}
@@ -130,7 +130,7 @@ func FairRun(k int, ctrl protocol.SkipController, src *rng.Rand, maxSlots uint64
 		regFound := false
 		lo, hi := ph.RegularLo, ph.RegularHi
 		if qmax := maxSuccessProb(m, lo, hi); qmax > 0 {
-			denom := log1m(qmax)
+			denom := rng.Log1m(qmax)
 			cur := slot
 			for {
 				var cnt uint64 // regular slots in [cur, end]

@@ -1,18 +1,10 @@
 package kernel
 
-import "math"
+import (
+	"math"
 
-// log1m returns log(1-p) for p ∈ [0, 1). math.Log1p has no assembly
-// implementation and dominates profiles of the skip kernel, while
-// math.Log does; computing log(1-p) directly is safe whenever 1-p does
-// not cancel (p not tiny), and a short series covers the tiny-p range
-// with relative error below 1e-17.
-func log1m(p float64) float64 {
-	if p > 1e-4 {
-		return math.Log(1 - p)
-	}
-	return -p * (1 + p*(0.5+p*(1.0/3+p*0.25)))
-}
+	"repro/internal/rng"
+)
 
 // deadExponent is the (m-1)·p threshold beyond which a slot class is
 // treated as never succeeding: (1-p)^(m-1) ≤ e^{-(m-1)p}, so the success
@@ -25,7 +17,7 @@ func log1m(p float64) float64 {
 const deadExponent = 64
 
 // successProb is the kernel-internal fast path of SuccessProb: identical
-// except for the dead-class cutoff and the log1m fast path.
+// except for the dead-class cutoff and the rng.Log1m fast path.
 func successProb(m int, p float64) float64 {
 	switch {
 	case m <= 0 || p <= 0:
@@ -39,6 +31,6 @@ func successProb(m int, p float64) float64 {
 		if e >= deadExponent {
 			return 0
 		}
-		return float64(m) * p * math.Exp(float64(m-1)*log1m(p))
+		return float64(m) * p * math.Exp(float64(m-1)*rng.Log1m(p))
 	}
 }

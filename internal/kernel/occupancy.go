@@ -80,7 +80,7 @@ func (o *Window) Step(m, w int, src *rng.Rand) (delivered, last int) {
 			// (the same argument as deadExponent). No draws consumed.
 			return 0, 0
 		}
-		if es := float64(m) * math.Exp(float64(m-1)*log1m(1/float64(w))); es <= seriesMaxES {
+		if es := float64(m) * math.Exp(float64(m-1)*rng.Log1m(1/float64(w))); es <= seriesMaxES {
 			return stepBySeries(m, w, src)
 		}
 	}
@@ -144,7 +144,7 @@ func stepByBin(m, w int, src *rng.Rand) (delivered, last int) {
 // along s (between the leading terms of consecutive s).
 func seriesRatio(mr, wr, i int) float64 {
 	return float64(mr-i) / float64(i+1) *
-		math.Exp(float64(mr-i-1)*log1m(1/float64(wr-i)))
+		math.Exp(float64(mr-i-1)*rng.Log1m(1/float64(wr-i)))
 }
 
 // singletonPMF returns P(S = s) by summing the alternating series with

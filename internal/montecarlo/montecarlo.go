@@ -1,25 +1,27 @@
-// Package montecarlo is the adaptive-precision replication engine every
-// repeated-simulation entry point routes through: the static sweeps of
-// internal/harness and the λ-sweeps of internal/throughput both
-// delegate their "how many runs is enough?" decision here.
+// Package montecarlo is the replication engine: the one place this
+// repository schedules repeated simulation runs. The static sweeps of
+// internal/harness and the λ-sweeps of internal/throughput — and through
+// them the arena, specs, the CLI and the server — each hand Grid one
+// grid of points × replications.
 //
 // The paper's guarantees are stated in expectation and with high
 // probability, so any reported point estimate carries Monte Carlo
 // error. A fixed repetition count either over-simulates easy
-// (low-variance) points or under-simulates hard ones. This engine
-// instead replicates until the Student-t confidence interval for the
-// mean of the primary metric is narrower than a requested relative
-// precision ε at confidence level c — "throughput to ±1% at 95%" as an
-// input rather than an afterthought — subject to MinReps/MaxReps
-// bounds.
+// (low-variance) points or under-simulates hard ones. An enabled
+// Precision instead replicates each point until the Student-t
+// confidence interval for the mean of its primary metric is narrower
+// than a requested relative precision ε at confidence level c —
+// "throughput to ±1% at 95%" as an input rather than an afterthought —
+// subject to MinReps/MaxReps bounds. Fixed-rep mode is the same plan
+// with a single checkpoint at the requested count.
 //
 // Determinism is load-bearing throughout this repository (canonical
 // cache keys, byte-identical front ends, golden tests), so the engine
 // is deterministic by construction:
 //
-//   - Replication r always computes the same value: the caller derives
-//     each replication's randomness from its index r alone (the same
-//     (seed, labels, rep) streams fixed-rep mode uses), never from
+//   - Replication r of a point always computes the same value: the
+//     caller derives its randomness from the point and r alone (the
+//     same (seed, labels, rep) streams in both modes), never from
 //     scheduling.
 //   - The stopping decision is evaluated only at fixed checkpoints
 //     (MinReps, then ×3/2 growth, then MaxReps), with all replications
@@ -28,9 +30,10 @@
 //     GOMAXPROCS, so a laptop and a 64-core server stop at the same
 //     replication count.
 //
-// Within a batch, replications run concurrently across a worker pool
-// sized to GOMAXPROCS (or the caller's bound); parallelism changes only
-// wall-clock time, never results.
+// All points share one pool of workers sized to GOMAXPROCS (or the
+// caller's bound), and each point follows its checkpoints on its own,
+// with no barrier between points; parallelism changes only wall-clock
+// time, never results.
 package montecarlo
 
 import (
@@ -38,6 +41,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/stats"
@@ -167,24 +171,43 @@ type Result struct {
 	HalfWidth float64
 }
 
-// Run replicates task adaptively: replications are launched in batches
-// up to the next checkpoint, executed concurrently across a pool of
-// parallelism workers (GOMAXPROCS when ≤ 0), folded in replication
-// order, and stopped at the first checkpoint whose Student-t interval
-// meets the precision target. task(rep) must be safe for concurrent
-// invocation with distinct rep values and deterministic in rep.
+// Grid replicates task over points × replications on one pool of at
+// most parallelism workers (GOMAXPROCS when ≤ 0) and returns one Result
+// per point.
 //
-// The first task error (lowest replication index) aborts the run, as
-// does ctx cancellation; replications already executing finish. Run
-// panics if prec (after WithDefaults) fails Validate — callers validate
-// at the spec boundary.
-func Run(ctx context.Context, prec Precision, parallelism int, task func(rep int) (float64, error)) (Result, error) {
+// Every point follows the same plan. With prec disabled (Epsilon 0) it
+// is fixed-rep mode: each point runs exactly runs replications, a single
+// checkpoint. With prec enabled, runs is ignored and each point consults
+// the stopping rule at prec's checkpoints on its own; no point waits for
+// another, so a point that stops early frees the pool for the rest.
+//
+// task(point, rep) must be safe for concurrent invocation with distinct
+// arguments and deterministic in them; it returns the replication's
+// primary metric. Each point's metrics are folded in replication order,
+// so a Result is independent of scheduling and parallelism. The fold a
+// task returns, if non-nil, is called under the engine's lock in that
+// same order once rep and every replication before it have completed,
+// and is dropped afterwards; last reports that rep is the point's final
+// replication.
+//
+// Workers start the lowest-numbered point with a replication ready to
+// run, so callers list the costliest points first; with parallelism 1
+// replications run one after another in point order. The first failure
+// (lowest point, then lowest replication, among those that ran) stops
+// new replications, as does ctx cancellation, whose error is returned;
+// replications already running finish. A panicking task fails like an
+// erroring one, with the stack in its error.
+func Grid(ctx context.Context, prec Precision, runs, parallelism, points int,
+	task func(point, rep int) (float64, func(last bool), error)) ([]Result, error) {
 	prec = prec.WithDefaults()
 	if err := prec.Validate(); err != nil {
-		panic(err)
+		return nil, err
 	}
-	if !prec.Enabled() {
-		panic("montecarlo: Run requires an enabled Precision (fixed-rep mode has its own paths)")
+	stops := []int{runs}
+	if prec.Enabled() {
+		stops = prec.checkpoints()
+	} else if runs < 1 {
+		return nil, fmt.Errorf("montecarlo: runs must be ≥ 1, got %d", runs)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -193,51 +216,144 @@ func Run(ctx context.Context, prec Precision, parallelism int, task func(rep int
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 
-	var res Result
-	values := make([]float64, 0, prec.MaxReps)
-	errs := make([]error, prec.MaxReps)
-	next := 0 // next replication index to execute
-	for _, target := range prec.checkpoints() {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		// Execute replications [next, target) across the pool.
-		values = values[:target]
-		var wg sync.WaitGroup
-		reps := make(chan int)
-		workers := min(parallelism, target-next)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for r := range reps {
-					if ctx.Err() != nil {
-						errs[r] = ctx.Err()
-						continue
-					}
-					values[r], errs[r] = task(r)
-				}
-			}()
-		}
-		for r := next; r < target; r++ {
-			reps <- r
-		}
-		close(reps)
-		wg.Wait()
-		// Fold in replication order; the first failed index wins.
-		for r := next; r < target; r++ {
-			if errs[r] != nil {
-				return res, errs[r]
+	g := &grid{prec: prec, stops: stops, points: make([]point, points)}
+	g.idle.L = &g.mu
+	stop := context.AfterFunc(ctx, func() {
+		g.mu.Lock()
+		g.idle.Broadcast()
+		g.mu.Unlock()
+	})
+	defer stop()
+	var wg sync.WaitGroup
+	for w := min(parallelism, points*stops[len(stops)-1]); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.work(ctx, task)
+		}()
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if g.err != nil {
+		return nil, g.err
+	}
+	results := make([]Result, points)
+	for i := range g.points {
+		results[i] = g.points[i].res
+	}
+	return results, nil
+}
+
+// grid is the shared state of one Grid call, guarded by mu.
+type grid struct {
+	mu     sync.Mutex
+	idle   sync.Cond // signaled when a replication completes or ctx ends
+	prec   Precision
+	stops  []int // the checkpoint schedule every point follows
+	points []point
+	first  int // lowest point not yet finished
+	active int // replications running
+
+	err           error // first failure by (point, rep)
+	errPt, errRep int
+}
+
+// point is one point's progress through the plan.
+type point struct {
+	stop    int               // index of the current checkpoint in grid.stops
+	next    int               // next replication to start
+	pending map[int]completed // replications done but not yet folded
+	done    bool              // the plan stopped this point
+	res     Result            // Reps counts the replications folded so far
+}
+
+type completed struct {
+	v    float64
+	fold func(last bool)
+}
+
+// work runs replications until none is left to start.
+func (g *grid) work(ctx context.Context, task func(int, int) (float64, func(bool), error)) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.err == nil && ctx.Err() == nil {
+		i, rep, ok := g.start()
+		if !ok {
+			if g.active == 0 {
+				return // every point finished
 			}
-			res.Stats.Add(values[r])
+			g.idle.Wait()
+			continue
 		}
-		next = target
-		res.Reps = target
-		res.HalfWidth = res.Stats.CIAt(prec.Confidence)
-		if prec.converged(&res.Stats) {
-			res.Converged = true
-			return res, nil
+		g.active++
+		g.mu.Unlock()
+		v, fold, err := call(task, i, rep)
+		g.mu.Lock()
+		g.active--
+		g.complete(i, rep, v, fold, err)
+		g.idle.Broadcast()
+	}
+}
+
+// start claims the lowest point's next replication below its current
+// checkpoint.
+func (g *grid) start() (i, rep int, ok bool) {
+	for i = g.first; i < len(g.points); i++ {
+		p := &g.points[i]
+		if !p.done && p.next < g.stops[p.stop] {
+			p.next++
+			return i, p.next - 1, true
 		}
 	}
-	return res, nil
+	return 0, 0, false
+}
+
+// complete records replication rep of point i and folds the point's
+// completed prefix in replication order, applying the stopping rule at
+// each checkpoint.
+func (g *grid) complete(i, rep int, v float64, fold func(bool), err error) {
+	if err != nil {
+		if g.err == nil || i < g.errPt || i == g.errPt && rep < g.errRep {
+			g.err, g.errPt, g.errRep = err, i, rep
+		}
+		return
+	}
+	p := &g.points[i]
+	if p.pending == nil {
+		p.pending = map[int]completed{}
+	}
+	p.pending[rep] = completed{v, fold}
+	for c, ok := p.pending[p.res.Reps]; ok; c, ok = p.pending[p.res.Reps] {
+		delete(p.pending, p.res.Reps)
+		p.res.Stats.Add(c.v)
+		p.res.Reps++
+		last := false
+		if p.res.Reps == g.stops[p.stop] {
+			p.res.HalfWidth = p.res.Stats.CIAt(g.prec.Confidence)
+			p.res.Converged = g.prec.converged(&p.res.Stats)
+			if p.res.Converged || p.stop == len(g.stops)-1 {
+				p.done, last = true, true
+			} else {
+				p.stop++
+			}
+		}
+		if c.fold != nil {
+			c.fold(last)
+		}
+	}
+	for g.first < len(g.points) && g.points[g.first].done {
+		g.first++
+	}
+}
+
+// call runs one replication, turning a panic into its error.
+func call(task func(int, int) (float64, func(bool), error), i, rep int) (v float64, fold func(bool), err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("montecarlo: point %d replication %d panicked: %v\n%s", i, rep, r, debug.Stack())
+		}
+	}()
+	return task(i, rep)
 }

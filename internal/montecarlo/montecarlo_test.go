@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/rng"
 	"repro/internal/stats"
@@ -20,6 +23,18 @@ func noisyTask(seed uint64, mean, spread float64) func(rep int) (float64, error)
 		src := rng.NewStream(seed, "mc-test", fmt.Sprint(rep))
 		return mean + spread*(src.Float64()-0.5), nil
 	}
+}
+
+// one runs task as the single point of a grid.
+func one(ctx context.Context, p Precision, runs, par int, task func(rep int) (float64, error)) (Result, error) {
+	res, err := Grid(ctx, p, runs, par, 1, func(_, rep int) (float64, func(bool), error) {
+		v, err := task(rep)
+		return v, nil, err
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
 }
 
 func TestValidate(t *testing.T) {
@@ -67,7 +82,7 @@ func TestCheckpointsScheduleIsMachineIndependent(t *testing.T) {
 func TestZeroVarianceStopsAtMinReps(t *testing.T) {
 	p := Precision{Epsilon: 0.01, MinReps: 2, MaxReps: 100, Confidence: 0.99}
 	var calls atomic.Int64
-	res, err := Run(context.Background(), p, 4, func(rep int) (float64, error) {
+	res, err := one(context.Background(), p, 0, 4, func(rep int) (float64, error) {
 		calls.Add(1)
 		return 42, nil
 	})
@@ -88,7 +103,7 @@ func TestZeroVarianceStopsAtMinReps(t *testing.T) {
 func TestParallelismDoesNotChangeResult(t *testing.T) {
 	p := Precision{Epsilon: 0.02, Confidence: 0.95, MinReps: 3, MaxReps: 200}
 	task := noisyTask(7, 10, 3)
-	base, err := Run(context.Background(), p, 1, task)
+	base, err := one(context.Background(), p, 0, 1, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +111,7 @@ func TestParallelismDoesNotChangeResult(t *testing.T) {
 		t.Fatalf("want a multi-batch run for this test, got %d reps", base.Reps)
 	}
 	for _, par := range []int{2, 5, 16} {
-		got, err := Run(context.Background(), p, par, task)
+		got, err := one(context.Background(), p, 0, par, task)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,30 +127,37 @@ func TestParallelismDoesNotChangeResult(t *testing.T) {
 func TestMinEqualsMaxMatchesFixedFold(t *testing.T) {
 	const reps = 12
 	task := noisyTask(11, 5, 2)
-	res, err := Run(context.Background(),
-		Precision{Epsilon: 1e-9, Confidence: 0.95, MinReps: reps, MaxReps: reps}, 4, task)
+	res, err := one(context.Background(),
+		Precision{Epsilon: 1e-9, Confidence: 0.95, MinReps: reps, MaxReps: reps}, 0, 4, task)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Reps != reps {
 		t.Fatalf("Reps = %d, want %d", res.Reps, reps)
 	}
-	// The fold must be byte-identical to a sequential fixed-rep fold.
+	// The fold must be byte-identical to a sequential fixed-rep fold, and
+	// to the engine's own fixed-rep plan (a disabled Precision).
 	var fixed stats.Summary
 	for r := 0; r < reps; r++ {
 		v, _ := task(r)
 		fixed.Add(v)
 	}
-	if res.Stats.Mean() != fixed.Mean() || res.Stats.Variance() != fixed.Variance() {
-		t.Fatalf("adaptive fold (%v, %v) != fixed fold (%v, %v)",
-			res.Stats.Mean(), res.Stats.Variance(), fixed.Mean(), fixed.Variance())
+	plan, err := one(context.Background(), Precision{}, reps, 4, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []Result{res, plan} {
+		if !reflect.DeepEqual(got.Stats, fixed) {
+			t.Fatalf("fold (%v, %v) != sequential fold (%v, %v)",
+				got.Stats.Mean(), got.Stats.Variance(), fixed.Mean(), fixed.Variance())
+		}
 	}
 }
 
 func TestStopsAtMaxRepsWithoutConvergence(t *testing.T) {
 	// Alternating ±100 never reaches ±0.01% relative precision.
 	p := Precision{Epsilon: 1e-4, Confidence: 0.95, MinReps: 2, MaxReps: 17}
-	res, err := Run(context.Background(), p, 3, func(rep int) (float64, error) {
+	res, err := one(context.Background(), p, 0, 3, func(rep int) (float64, error) {
 		if rep%2 == 0 {
 			return 100, nil
 		}
@@ -152,7 +174,7 @@ func TestStopsAtMaxRepsWithoutConvergence(t *testing.T) {
 func TestFirstErrorByIndexWins(t *testing.T) {
 	errBoom := errors.New("boom")
 	p := Precision{Epsilon: 0.01, Confidence: 0.95, MinReps: 8, MaxReps: 8}
-	_, err := Run(context.Background(), p, 8, func(rep int) (float64, error) {
+	_, err := one(context.Background(), p, 0, 8, func(rep int) (float64, error) {
 		if rep >= 3 {
 			return 0, fmt.Errorf("rep %d: %w", rep, errBoom)
 		}
@@ -163,11 +185,31 @@ func TestFirstErrorByIndexWins(t *testing.T) {
 	}
 }
 
+// TestGridFirstErrorByPoint: across points, the lowest failing point
+// wins even when a later point fails at a lower replication, and no
+// replication starts after the failure.
+func TestGridFirstErrorByPoint(t *testing.T) {
+	var started atomic.Int64
+	_, err := Grid(context.Background(), Precision{}, 6, 1, 3, func(pt, rep int) (float64, func(bool), error) {
+		started.Add(1)
+		if pt == 1 && rep == 4 {
+			return 0, nil, fmt.Errorf("point %d rep %d", pt, rep)
+		}
+		return 1, nil, nil
+	})
+	if err == nil || err.Error() != "point 1 rep 4" {
+		t.Fatalf("err = %v, want point 1 rep 4", err)
+	}
+	if n := started.Load(); n != 6+5 {
+		t.Fatalf("%d replications started, want 11 (serial, stopping at the failure)", n)
+	}
+}
+
 func TestContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var once sync.Once
 	p := Precision{Epsilon: 1e-9, Confidence: 0.95, MinReps: 2, MaxReps: 1000}
-	_, err := Run(ctx, p, 2, func(rep int) (float64, error) {
+	_, err := one(ctx, p, 0, 2, func(rep int) (float64, error) {
 		once.Do(cancel) // cancel mid-run; later batches must not start
 		return float64(rep), nil
 	})
@@ -176,11 +218,167 @@ func TestContextCancellation(t *testing.T) {
 	}
 }
 
-func TestRunPanicsOnDisabledPrecision(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("want panic for disabled precision")
+// TestGridFixedPlan: a disabled Precision runs exactly runs replications
+// per point, Runs = 1 included, and rejects a count below 1.
+func TestGridFixedPlan(t *testing.T) {
+	for _, runs := range []int{1, 5} {
+		var calls atomic.Int64
+		res, err := Grid(context.Background(), Precision{}, runs, 3, 4, func(pt, rep int) (float64, func(bool), error) {
+			calls.Add(1)
+			return float64(pt*10 + rep), nil, nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	_, _ = Run(context.Background(), Precision{}, 1, func(int) (float64, error) { return 0, nil })
+		if calls.Load() != int64(4*runs) {
+			t.Fatalf("runs=%d: %d replications, want %d", runs, calls.Load(), 4*runs)
+		}
+		for pt, r := range res {
+			if r.Reps != runs || r.Stats.N() != runs || r.Stats.Min() != float64(pt*10) {
+				t.Fatalf("runs=%d point %d: %+v", runs, pt, r)
+			}
+		}
+	}
+	if _, err := Grid(context.Background(), Precision{}, 0, 1, 1, nil); err == nil {
+		t.Fatal("runs = 0 accepted in fixed-rep mode")
+	}
+	if _, err := Grid(context.Background(), Precision{Epsilon: 0.1, MinReps: 1}, 3, 1, 1, nil); err == nil {
+		t.Fatal("invalid precision accepted")
+	}
+}
+
+// TestGridPointsMatchAlone: points of different variance share one pool
+// with no barrier between them, yet each point's Result at any
+// parallelism equals the Result it gets when it runs alone.
+func TestGridPointsMatchAlone(t *testing.T) {
+	p := Precision{Epsilon: 0.01, Confidence: 0.95, MinReps: 3, MaxReps: 120}
+	tasks := []func(int) (float64, error){
+		noisyTask(1, 10, 0.1), // converges at MinReps
+		noisyTask(2, 10, 1.5), // converges after a few checkpoints
+		noisyTask(3, 10, 9),   // exhausts MaxReps
+		noisyTask(4, 10, 4),
+	}
+	alone := make([]Result, len(tasks))
+	for i, task := range tasks {
+		var err error
+		if alone[i], err = one(context.Background(), p, 0, 1, task); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if alone[0].Reps != p.MinReps || alone[2].Reps != p.MaxReps || alone[1].Reps == alone[3].Reps {
+		t.Fatalf("points do not span the stopping range: reps %d, %d, %d, %d",
+			alone[0].Reps, alone[1].Reps, alone[2].Reps, alone[3].Reps)
+	}
+	for _, par := range []int{1, 2, 5} {
+		got, err := Grid(context.Background(), p, 0, par, len(tasks), func(pt, rep int) (float64, func(bool), error) {
+			v, err := tasks[pt](rep)
+			return v, nil, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range tasks {
+			if !reflect.DeepEqual(got[i], alone[i]) {
+				t.Fatalf("parallelism %d point %d: reps=%d converged=%v mean=%v half=%v, alone reps=%d converged=%v mean=%v half=%v",
+					par, i, got[i].Reps, got[i].Converged, got[i].Stats.Mean(), got[i].HalfWidth,
+					alone[i].Reps, alone[i].Converged, alone[i].Stats.Mean(), alone[i].HalfWidth)
+			}
+		}
+	}
+}
+
+// TestGridFoldOrder: each point's folds run one at a time, in
+// replication order, and only the point's final replication is last.
+func TestGridFoldOrder(t *testing.T) {
+	p := Precision{Epsilon: 0.01, Confidence: 0.95, MinReps: 3, MaxReps: 40}
+	tasks := []func(int) (float64, error){noisyTask(5, 10, 0.1), noisyTask(6, 10, 8), noisyTask(7, 10, 2)}
+	folded := make([][]int, len(tasks)) // written only by folds: -race checks the lock
+	lasts := make([]int, len(tasks))
+	res, err := Grid(context.Background(), p, 0, 4, len(tasks), func(pt, rep int) (float64, func(bool), error) {
+		v, err := tasks[pt](rep)
+		return v, func(last bool) {
+			folded[pt] = append(folded[pt], rep)
+			if last {
+				lasts[pt]++
+			}
+		}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pt := range tasks {
+		if len(folded[pt]) != res[pt].Reps || lasts[pt] != 1 {
+			t.Fatalf("point %d: %d folds and %d last, want %d and 1", pt, len(folded[pt]), lasts[pt], res[pt].Reps)
+		}
+		for i, rep := range folded[pt] {
+			if rep != i {
+				t.Fatalf("point %d folded out of order: %v", pt, folded[pt])
+			}
+		}
+	}
+}
+
+// TestGridSerialOrder: with parallelism 1 replications run one after
+// another in point order.
+func TestGridSerialOrder(t *testing.T) {
+	p := Precision{Epsilon: 0.01, Confidence: 0.95, MinReps: 3, MaxReps: 20}
+	tasks := []func(int) (float64, error){noisyTask(8, 10, 6), noisyTask(9, 10, 0.1)}
+	var order [][2]int
+	res, err := Grid(context.Background(), p, 0, 1, len(tasks), func(pt, rep int) (float64, func(bool), error) {
+		order = append(order, [2]int{pt, rep})
+		v, err := tasks[pt](rep)
+		return v, nil, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for pt := range tasks {
+		for rep := 0; rep < res[pt].Reps; rep++ {
+			if order[i] != [2]int{pt, rep} {
+				t.Fatalf("execution %d was %v, want point %d rep %d (order %v)", i, order[i], pt, rep, order)
+			}
+			i++
+		}
+	}
+}
+
+// TestGridBoundsWorkers: no more than parallelism replications ever run
+// at once, however many points are ready.
+func TestGridBoundsWorkers(t *testing.T) {
+	const par = 3
+	var running, peak atomic.Int64
+	_, err := Grid(context.Background(), Precision{}, 4, par, 8, func(pt, rep int) (float64, func(bool), error) {
+		n := running.Add(1)
+		for {
+			old := peak.Load()
+			if n <= old || peak.CompareAndSwap(old, n) {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+		running.Add(-1)
+		return 1, nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := peak.Load(); got > par || got < 2 {
+		t.Fatalf("peak concurrency %d, want in [2, %d]", got, par)
+	}
+}
+
+// TestGridRecoversPanic: a panicking replication fails the grid with an
+// error that names the panic and carries the stack; the process lives.
+func TestGridRecoversPanic(t *testing.T) {
+	_, err := Grid(context.Background(), Precision{}, 3, 2, 2, func(pt, rep int) (float64, func(bool), error) {
+		if pt == 1 && rep == 2 {
+			panic("kaboom")
+		}
+		return 1, nil, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "panicked: kaboom") ||
+		!strings.Contains(err.Error(), "montecarlo_test.go") {
+		t.Fatalf("err = %v, want the panic with its stack", err)
+	}
 }

@@ -43,7 +43,7 @@ func (r *Rand) Binomial(n int, p float64) int {
 func (r *Rand) binomialInversion(n int, p float64) int {
 	q := 1 - p
 	// s = p/q, f = q^n computed in log space to survive large n.
-	logQ := log1m(p)
+	logQ := Log1m(p)
 	f := math.Exp(float64(n) * logQ)
 	if f <= 0 {
 		// q^n underflowed (enormous n with p just below cutoff/n). Fall back

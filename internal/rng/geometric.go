@@ -30,7 +30,7 @@ func (r *Rand) Geometric(p float64) uint64 {
 	}
 	// Float64Open never returns 0 or 1, so the logarithm is finite and
 	// negative, and the ratio is non-negative.
-	g := math.Log(r.Float64Open()) / log1m(p)
+	g := math.Log(r.Float64Open()) / Log1m(p)
 	if g >= math.MaxUint64 || math.IsNaN(g) {
 		return GeometricInf
 	}

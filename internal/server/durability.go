@@ -38,14 +38,13 @@ import (
 // job serialize on j.storeMu, so the store always converges to the
 // latest snapshot even when submit, worker and cancel race. Store
 // errors leave the in-memory job authoritative — the server keeps
-// serving; durability degrades to the in-memory contract.
+// serving; durability degrades to the in-memory contract, and
+// macsimd_store_errors_total counts the failed write.
 func (s *Server) putJobRecord(j *job) {
 	j.storeMu.Lock()
 	defer j.storeMu.Unlock()
 	rec := j.record(s.cfg.now().Add(s.cfg.LeaseDuration))
-	if err := s.store.PutJob(rec); err == nil {
-		s.metrics.storeWrites.Add(1)
-	}
+	s.metrics.stored(s.store.PutJob(rec))
 }
 
 // publishResult durably publishes a completed job's result document
@@ -54,9 +53,7 @@ func (s *Server) putJobRecord(j *job) {
 // job's record running, so recovery re-runs the job and the rewrite is
 // a content-addressed no-op.
 func (s *Server) publishResult(key string, doc []byte) {
-	if err := s.store.PutResult(key, doc); err == nil {
-		s.metrics.storeWrites.Add(1)
-	}
+	s.metrics.stored(s.store.PutResult(key, doc))
 	s.cache.put(key, doc)
 }
 
@@ -79,9 +76,7 @@ func (s *Server) persistCanceled(j *job) {
 			rec.Finished = s.cfg.now()
 		}
 	}
-	if err := s.store.PutJob(rec); err == nil {
-		s.metrics.storeWrites.Add(1)
-	}
+	s.metrics.stored(s.store.PutJob(rec))
 }
 
 // dropEvicted deletes the store records of jobs the poll registry just
@@ -249,9 +244,7 @@ func (s *Server) failRecovered(rec store.JobRecord, msg string) {
 	if rec.Finished.IsZero() {
 		rec.Finished = s.cfg.now()
 	}
-	if err := s.store.PutJob(rec); err == nil {
-		s.metrics.storeWrites.Add(1)
-	}
+	s.metrics.stored(s.store.PutJob(rec))
 	s.metrics.jobsFailed.Add(1)
 	s.registerTerminal(rec)
 }

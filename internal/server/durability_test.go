@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"net/http"
 	"testing"
 	"time"
@@ -52,6 +53,40 @@ func waitTerminalRecord(t *testing.T, st store.Store, id string) store.JobRecord
 			t.Fatalf("record never became terminal: %+v (ok=%v)", rec, ok)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// failingStore is a store.Store whose writes all fail, as on a full or
+// read-only disk; reads go to the wrapped store.
+type failingStore struct{ store.Store }
+
+var errDiskFull = errors.New("no space left on device")
+
+func (failingStore) PutJob(store.JobRecord) error         { return errDiskFull }
+func (failingStore) PutResult(string, []byte) error       { return errDiskFull }
+func (failingStore) PutSession(store.SessionRecord) error { return errDiskFull }
+
+// TestStoreWriteErrorsCounted: a failed store write is never silent. It
+// moves macsimd_store_errors_total, not the writes counter, and the job
+// still finishes in memory.
+func TestStoreWriteErrorsCounted(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{Store: failingStore{store.Mem(0)}}, false)
+	_, sub := post(t, ts.URL+"/v1/solve", `{"k":200,"seed":11}`)
+	if v := waitDone(t, ts.URL, sub.ID); v.Status != StatusDone {
+		t.Fatalf("job status = %s (%s), want done despite the failing store", v.Status, v.Error)
+	}
+	// Queued, running and terminal records plus the result document; the
+	// terminal record is written just after the job turns done.
+	deadline := time.Now().Add(10 * time.Second)
+	for metricValue(t, ts.URL, "macsimd_store_errors_total") < 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("macsimd_store_errors_total = %v, want ≥ 4",
+				metricValue(t, ts.URL, "macsimd_store_errors_total"))
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if w := metricValue(t, ts.URL, "macsimd_store_writes_total"); w != 0 {
+		t.Fatalf("macsimd_store_writes_total = %v, want 0 when every write fails", w)
 	}
 }
 

@@ -275,9 +275,7 @@ func (s *Server) writeSessionRecord(ls *liveSession) {
 	if werr := waitErr(ls.sess); werr != nil {
 		rec.Error = werr.Error()
 	}
-	if s.store.PutSession(rec) == nil {
-		s.metrics.storeWrites.Add(1)
-	}
+	s.metrics.stored(s.store.PutSession(rec))
 }
 
 // flushSessions stops every live session and persists its record — the

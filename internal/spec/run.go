@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"iter"
+	"runtime/debug"
 	"sync"
 
 	"repro/internal/arena"
@@ -197,12 +198,20 @@ func (e *Execution) Result() (*Result, error) {
 	}
 }
 
-// run dispatches on the spec kind. The spec arrives validated.
+// run dispatches on the spec kind. The spec arrives validated. A panic
+// in simulation code fails this execution, with the stack in its error,
+// rather than the process: replications are recovered by the
+// replication engine's workers, everything else here.
 func (e *Execution) run(ctx context.Context, s ExperimentSpec) {
 	var (
 		res *Result
 		err error
 	)
+	defer func() {
+		if r := recover(); r != nil {
+			e.finish(nil, fmt.Errorf("spec: %s experiment panicked: %v\n%s", s.Kind, r, debug.Stack()))
+		}
+	}()
 	switch s.Kind {
 	case KindSolve:
 		res, err = e.runSolve(ctx, s.Solve)

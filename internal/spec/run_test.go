@@ -5,10 +5,69 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
+	"repro/internal/protocol"
+	"repro/internal/rng"
+	"repro/internal/throughput"
 )
+
+// panicSystem is a library-only System whose Run or AnalysisRatio
+// panics, standing in for a simulation bug.
+type panicSystem struct{ inRun bool }
+
+func (panicSystem) Name() string { return "panicky" }
+
+func (s panicSystem) AnalysisRatio(int) string {
+	if !s.inRun {
+		panic("analysis exploded")
+	}
+	return "-"
+}
+
+func (s panicSystem) Run(k int, _ *rng.Rand) (uint64, error) {
+	if s.inRun {
+		panic("run exploded")
+	}
+	return uint64(k), nil
+}
+
+// TestRunPanicFailsExecution: a panic in a replication (on the
+// replication engine's workers) or in the execution's own goroutine
+// fails that execution with an error naming the panic; the process, and
+// so a daemon's other jobs, survive.
+func TestRunPanicFailsExecution(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name string
+		spec ExperimentSpec
+		want string
+	}{
+		{"evaluate replication", ForEvaluate(EvaluateSpec{Systems: []harness.System{panicSystem{inRun: true}},
+			Ks: []int{8}, Runs: 2}), "run exploded"},
+		{"evaluate document", ForEvaluate(EvaluateSpec{Systems: []harness.System{panicSystem{}},
+			Ks: []int{8}, Runs: 2}), "analysis exploded"},
+		{"throughput replication", ForThroughput(ThroughputSpec{Lambdas: []float64{0.1}, Messages: 20, Runs: 2,
+			Lineup: []throughput.Protocol{{Name: "panicky", NewSchedule: func() (protocol.Schedule, error) {
+				panic("schedule exploded")
+			}}}}), "schedule exploded"},
+	}
+	for _, c := range cases {
+		exec, err := Run(context.Background(), c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = exec.Result()
+		if err == nil || !strings.Contains(err.Error(), "panicked: "+c.want) ||
+			!strings.Contains(err.Error(), "goroutine") {
+			t.Fatalf("%s: err = %v, want the panic %q with its stack", c.name, err, c.want)
+		}
+	}
+}
 
 func TestRunSolveStreamsAndResolves(t *testing.T) {
 	t.Parallel()

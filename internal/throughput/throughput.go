@@ -19,12 +19,13 @@
 // population mix — and offers the identical instance to every protocol.
 // The legacy Shape selector maps onto the benign scenarios.
 //
+// Every (protocol, λ) pair is one point of internal/montecarlo's
+// replication grid, so all executions share its single worker pool.
 // Replication counts are either fixed (Config.Runs) or adaptive
-// (Config.Precision): under a precision target each (protocol, λ)
-// point repeats until the Student-t confidence interval of its mean
-// throughput is narrower than ε·mean at the requested confidence
-// (internal/montecarlo), so easy points stop after a few runs and the
-// slot budget concentrates where variance is high.
+// (Config.Precision): under a precision target each point repeats until
+// the Student-t confidence interval of its mean throughput is narrower
+// than ε·mean at the requested confidence, so easy points stop after a
+// few runs and the slot budget concentrates where variance is high.
 //
 // Windowed (back-off) protocols run on the event-driven engine
 // (dynamic.RunWindowEvent) and scale to millions of messages. Adaptive
@@ -39,11 +40,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -324,10 +323,8 @@ type Series struct {
 }
 
 // outcome is one execution's aggregation-ready extract: scalars plus a
-// bounded latency sample, so holding every run of a sweep stays cheap
-// even at million-message scale.
+// bounded latency sample, held only until the engine folds it.
 type outcome struct {
-	done       bool // the execution ran (vs. aborted after an error)
 	throughput float64
 	hasRate    bool // slots > 0, so throughput is defined
 	latency    []float64
@@ -338,7 +335,7 @@ type outcome struct {
 
 // extract reduces one execution's result to its aggregation extract.
 func extract(res dynamic.Result, budget uint64) outcome {
-	out := outcome{done: true}
+	var out outcome
 	slots := res.Completion
 	if !res.Completed {
 		slots = budget
@@ -370,86 +367,85 @@ func (p *Point) fold(out *outcome) {
 	}
 }
 
-// runAdaptive executes the λ-sweep under the adaptive-precision engine
-// (Config.Precision): points are evaluated one at a time, each
-// replicating across the worker pool until the Student-t confidence
-// interval of its mean throughput meets the target (or MaxReps).
-// Replication r of a point derives the identical workload and protocol
-// streams fixed-rep run r would — matched pairs across protocols hold
-// per run index, and MinReps == MaxReps == Runs reproduces fixed-rep
-// results exactly. Workload instances are materialized inside the
-// replication and reduced to bounded extracts immediately, so peak
-// memory holds one batch of instances rather than the grid.
-func runAdaptive(ctx context.Context, protocols []Protocol, cfg Config,
-	scn scenario.Workload, lambdas []float64, messages int, seed uint64, par int) ([]Series, error) {
-	prec := cfg.Precision.WithDefaults()
-	if err := prec.Validate(); err != nil {
-		return nil, err
+// instances shares each (λ, run) scenario instance among a sweep's
+// protocols: the first execution that needs it builds it, and it is
+// dropped once every protocol's point at that λ has run it or stopped
+// short of it, so memory follows the executions in flight rather than
+// the grid.
+type instances struct {
+	build   func(lIdx, run int) (scenario.Instance, error)
+	points  int // points per λ, one per protocol
+	mu      sync.Mutex
+	live    map[[2]int]*instance // by (λ index, run)
+	stopped map[int]int          // by λ index: points that finished
+}
+
+type instance struct {
+	once    sync.Once
+	inst    scenario.Instance
+	err     error
+	readers int // points at its λ that may still run it
+}
+
+// get returns instance run at λ index lIdx, building it on first use.
+// A point that has not yet run it cannot have stopped past it, so its
+// readers are the λ's points that have not stopped.
+func (c *instances) get(lIdx, run int) (scenario.Instance, error) {
+	key := [2]int{lIdx, run}
+	c.mu.Lock()
+	e := c.live[key]
+	if e == nil {
+		e = &instance{readers: c.points - c.stopped[lIdx]}
+		c.live[key] = e
 	}
-	results := make([]Series, len(protocols))
-	for protoIdx, p := range protocols {
-		results[protoIdx] = Series{Protocol: p, Points: make([]Point, len(lambdas))}
-	}
-	// Highest loads first, as in fixed mode: saturated points burn whole
-	// budgets and should not be left for last.
-	for lIdx := len(lambdas) - 1; lIdx >= 0; lIdx-- {
-		lambda := lambdas[lIdx]
-		for protoIdx, p := range protocols {
-			outs := make([]outcome, prec.MaxReps)
-			res, err := montecarlo.Run(ctx, prec, par, func(run int) (float64, error) {
-				inst, err := scn.Instantiate(messages, lambda,
-					rng.NewStream(seed, "throughput-workload", scn.Name, fmt.Sprint(lambda), fmt.Sprint(run)))
-				if err != nil {
-					return 0, err
-				}
-				budget := cfg.MaxSlots
-				if budget == 0 {
-					budget = inst.Arrivals.DrainBudget()
-				}
-				r, err := p.run(inst,
-					rng.NewStream(seed, "throughput-run", p.Name, fmt.Sprint(lambda), fmt.Sprint(run)), budget)
-				if err != nil {
-					return 0, err
-				}
-				outs[run] = extract(r, budget)
-				if cfg.Progress != nil {
-					cfg.Progress(p.Name, lambda, run, r)
-				}
-				return outs[run].throughput, nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			pt := &results[protoIdx].Points[lIdx]
-			pt.Lambda = lambda
-			pt.Runs = res.Reps
-			for run := 0; run < res.Reps; run++ {
-				pt.fold(&outs[run])
-			}
+	c.mu.Unlock()
+	e.once.Do(func() { e.inst, e.err = c.build(lIdx, run) })
+	return e.inst, e.err
+}
+
+// release records that one point has finished running instance run.
+func (c *instances) release(lIdx, run int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.drop([2]int{lIdx, run})
+}
+
+// stop records that a point at λ index lIdx finished after reps
+// executions: it will read none of the instances from run reps on.
+func (c *instances) stop(lIdx, reps int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.stopped[lIdx]++
+	for key := range c.live {
+		if key[0] == lIdx && key[1] >= reps {
+			c.drop(key)
 		}
 	}
-	return results, nil
+}
+
+func (c *instances) drop(key [2]int) {
+	if e := c.live[key]; e != nil {
+		if e.readers--; e.readers == 0 {
+			delete(c.live, key)
+		}
+	}
 }
 
 // Run executes the λ-sweep over the given protocols and returns one
-// Series per protocol, in input order. Executions run in parallel across
-// a worker pool; every run draws its randomness from a stream derived
-// from (Seed, protocol, λ, run), and per-run outcomes are folded into
-// the aggregates in a fixed order after all workers finish, so results
-// are bit-for-bit reproducible regardless of scheduling.
+// Series per protocol, in input order. Every execution draws its
+// randomness from streams derived from (Seed, scenario, λ, run) and
+// (Seed, protocol, λ, run), and each point folds its executions in run
+// order, so results are bit-for-bit reproducible regardless of
+// scheduling or Parallelism.
 func Run(protocols []Protocol, cfg Config) ([]Series, error) {
 	return RunContext(context.Background(), protocols, cfg)
 }
 
 // RunContext is Run with cancellation: once ctx is canceled no further
-// execution starts — workers drain the queued jobs without simulating
-// and the producer stops materializing workloads — and ctx's error is
-// returned. Executions already running finish (a single execution is
-// not interruptible).
+// execution starts and ctx's error is returned, as is the first
+// execution error. Executions already running finish (a single
+// execution is not interruptible).
 func RunContext(ctx context.Context, protocols []Protocol, cfg Config) ([]Series, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	lambdas := cfg.Lambdas
 	if len(lambdas) == 0 {
 		lambdas = DefaultLambdas()
@@ -490,152 +486,66 @@ func RunContext(ctx context.Context, protocols []Protocol, cfg Config) ([]Series
 	if seed == 0 {
 		seed = 1
 	}
-	par := cfg.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
 
-	if cfg.Precision.Enabled() {
-		return runAdaptive(ctx, protocols, cfg, scn, lambdas, messages, seed, par)
-	}
-
-	// Each λ's instances are materialized once, just before its jobs are
-	// enqueued: every protocol faces the identical arrival sequence, jam
-	// mask and population assignment (the instance stream ignores the
-	// protocol — a matched-pairs comparison without redundant
-	// generation). Instances are retained until aggregation only through
-	// their jobs' outcomes, which are bounded extracts.
-	instances := make([][]scenario.Instance, len(lambdas))
-	jobsPerLambda := make([]int64, len(lambdas))
-	for lIdx := range lambdas {
-		jobsPerLambda[lIdx] = int64(len(protocols) * runs)
-	}
-	outcomes := make([][][]outcome, len(protocols))
-	for protoIdx := range protocols {
-		outcomes[protoIdx] = make([][]outcome, len(lambdas))
-		for lIdx := range lambdas {
-			outcomes[protoIdx][lIdx] = make([]outcome, runs)
-		}
-	}
-
-	type job struct{ proto, lIdx, run int }
-	jobs := make(chan job)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	// release drops a λ's instances once its last job has finished with
-	// them — outcomes are bounded extracts, so peak memory holds only the
-	// in-flight λs rather than the whole grid at million-message scale.
-	// Every job reads its instance before calling release, so the final
-	// decrementer is the only goroutine that can touch the slice.
-	release := func(lIdx int) {
-		if atomic.AddInt64(&jobsPerLambda[lIdx], -1) == 0 {
-			instances[lIdx] = nil
-		}
-	}
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				// After the first error or a cancellation, drain the
-				// remaining jobs without burning their (potentially
-				// minutes-long) budgets.
-				mu.Lock()
-				abort := firstErr != nil
-				mu.Unlock()
-				if abort || ctx.Err() != nil {
-					release(j.lIdx)
-					continue
-				}
-				p := protocols[j.proto]
-				lambda := lambdas[j.lIdx]
-				inst := instances[j.lIdx][j.run]
-				budget := cfg.MaxSlots
-				if budget == 0 {
-					budget = inst.Arrivals.DrainBudget()
-				}
-				res, err := p.run(inst,
-					rng.NewStream(seed, "throughput-run", p.Name, fmt.Sprint(lambda), fmt.Sprint(j.run)), budget)
-				release(j.lIdx)
-				if err != nil {
-					fail(err)
-					continue
-				}
-				outcomes[j.proto][j.lIdx][j.run] = extract(res, budget)
-				if cfg.Progress != nil {
-					cfg.Progress(p.Name, lambda, j.run, res)
-				}
-			}
-		}()
-	}
-	// Schedule the highest loads first: saturated runs burn their whole
-	// budget and must not be left for last. The channel send orders each
-	// instance write before any worker's read of it.
-enqueue:
-	for lIdx := len(lambdas) - 1; lIdx >= 0; lIdx-- {
-		insts := make([]scenario.Instance, runs)
-		for run := 0; run < runs; run++ {
-			inst, err := scn.Instantiate(messages, lambdas[lIdx],
+	// Point i of the grid is one (protocol, λ) pair, highest load first:
+	// saturated runs burn their whole budget and must not be left for
+	// last. Every protocol faces the identical instance of each (λ, run)
+	// — arrival sequence, jam mask and population assignment — because
+	// the instance stream ignores the protocol: a matched-pairs
+	// comparison, built once per (λ, run) in both modes.
+	n := len(protocols)
+	at := func(i int) (protoIdx, lIdx int) { return i % n, len(lambdas) - 1 - i/n }
+	insts := &instances{
+		build: func(lIdx, run int) (scenario.Instance, error) {
+			return scn.Instantiate(messages, lambdas[lIdx],
 				rng.NewStream(seed, "throughput-workload", scn.Name, fmt.Sprint(lambdas[lIdx]), fmt.Sprint(run)))
-			if err != nil {
-				fail(err)
-				break
-			}
-			insts[run] = inst
-		}
-		mu.Lock()
-		abort := firstErr != nil
-		mu.Unlock()
-		if abort || ctx.Err() != nil {
-			break
-		}
-		instances[lIdx] = insts
-		for protoIdx := range protocols {
-			for run := 0; run < runs; run++ {
-				select {
-				case jobs <- job{proto: protoIdx, lIdx: lIdx, run: run}:
-				case <-ctx.Done():
-					break enqueue
-				}
-			}
-		}
+		},
+		points:  n,
+		live:    map[[2]int]*instance{},
+		stopped: map[int]int{},
 	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	// Fold outcomes in (protocol, λ, run) order — the fixed order that
-	// makes floating-point accumulation independent of scheduling.
-	results := make([]Series, len(protocols))
+	results := make([]Series, n)
 	for protoIdx, p := range protocols {
 		results[protoIdx] = Series{Protocol: p, Points: make([]Point, len(lambdas))}
 		for lIdx, l := range lambdas {
-			pt := &results[protoIdx].Points[lIdx]
-			pt.Lambda = l
-			pt.Runs = runs
-			for run := 0; run < runs; run++ {
-				out := &outcomes[protoIdx][lIdx][run]
-				if !out.done {
-					return nil, fmt.Errorf("throughput: %s λ=%v run %d never executed", p.Name, l, run)
-				}
-				pt.fold(out)
-			}
+			results[protoIdx].Points[lIdx].Lambda = l
 		}
+	}
+	grid, err := montecarlo.Grid(ctx, cfg.Precision, runs, cfg.Parallelism, n*len(lambdas),
+		func(i, run int) (float64, func(bool), error) {
+			protoIdx, lIdx := at(i)
+			p, lambda := protocols[protoIdx], lambdas[lIdx]
+			inst, err := insts.get(lIdx, run)
+			if err != nil {
+				return 0, nil, err
+			}
+			budget := cfg.MaxSlots
+			if budget == 0 {
+				budget = inst.Arrivals.DrainBudget()
+			}
+			res, err := p.run(inst,
+				rng.NewStream(seed, "throughput-run", p.Name, fmt.Sprint(lambda), fmt.Sprint(run)), budget)
+			insts.release(lIdx, run)
+			if err != nil {
+				return 0, nil, err
+			}
+			if cfg.Progress != nil {
+				cfg.Progress(p.Name, lambda, run, res)
+			}
+			out := extract(res, budget)
+			return out.throughput, func(last bool) {
+				results[protoIdx].Points[lIdx].fold(&out)
+				if last {
+					insts.stop(lIdx, run+1)
+				}
+			}, nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for i := range grid {
+		protoIdx, lIdx := at(i)
+		results[protoIdx].Points[lIdx].Runs = grid[i].Reps
 	}
 	return results, nil
 }

@@ -290,6 +290,13 @@ func (g *grid) work(ctx context.Context, task func(int, int) (float64, func(bool
 		g.active++
 		g.mu.Unlock()
 		v, fold, err := call(task, i, rep)
+		// Taking the next replication under an uncontended lock never
+		// blocks, so a busy worker would reach no scheduling point until
+		// async preemption. Yield between replications: without it the
+		// GC's background mark worker starves, marking falls to
+		// allocation assists, and the heap overshoots its goal — a daemon
+		// running two sweeps at once saw its peak RSS jump by a third.
+		runtime.Gosched()
 		g.mu.Lock()
 		g.active--
 		g.complete(i, rep, v, fold, err)

@@ -185,6 +185,23 @@ func TestFirstErrorByIndexWins(t *testing.T) {
 	}
 }
 
+// TestGridLowestFailureWins: the reported failure is the lowest
+// replication that failed, not the first failure to arrive.
+func TestGridLowestFailureWins(t *testing.T) {
+	later := make(chan struct{})
+	_, err := Grid(context.Background(), Precision{}, 2, 2, 1, func(_, rep int) (float64, func(bool), error) {
+		if rep == 1 {
+			defer close(later)
+			return 0, nil, errors.New("rep 1")
+		}
+		<-later
+		return 0, nil, errors.New("rep 0")
+	})
+	if err == nil || err.Error() != "rep 0" {
+		t.Fatalf("err = %v, want rep 0, the lower of two failures", err)
+	}
+}
+
 // TestGridFirstErrorByPoint: across points, the lowest failing point
 // wins even when a later point fails at a lower replication, and no
 // replication starts after the failure.

@@ -377,7 +377,7 @@ type instances struct {
 	points  int // points per λ, one per protocol
 	mu      sync.Mutex
 	live    map[[2]int]*instance // by (λ index, run)
-	stopped map[int]int          // by λ index: points that finished
+	stopped []int                // by λ index: points that finished
 }
 
 type instance struct {
@@ -502,7 +502,7 @@ func RunContext(ctx context.Context, protocols []Protocol, cfg Config) ([]Series
 		},
 		points:  n,
 		live:    map[[2]int]*instance{},
-		stopped: map[int]int{},
+		stopped: make([]int, len(lambdas)),
 	}
 	results := make([]Series, n)
 	for protoIdx, p := range protocols {

@@ -493,3 +493,80 @@ func TestAdaptiveCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
+
+// countingArrivals counts the workload instances a sweep builds per λ.
+type countingArrivals struct {
+	mu    sync.Mutex
+	built map[float64]int
+}
+
+func (c *countingArrivals) Generate(n int, lambda float64, src *rng.Rand) (dynamic.Workload, error) {
+	c.mu.Lock()
+	c.built[lambda]++
+	c.mu.Unlock()
+	return scenario.Poisson{}.Generate(n, lambda, src)
+}
+
+// TestInstancesBuiltOncePerRun: every protocol reads the same (λ, run)
+// instance, and each is built exactly once, in fixed-rep and adaptive
+// mode alike — also when protocols stop at different replication
+// counts.
+func TestInstancesBuiltOncePerRun(t *testing.T) {
+	t.Parallel()
+	for _, cfg := range []Config{
+		{Runs: 3},
+		{Precision: montecarlo.Precision{Epsilon: 0.05, Confidence: 0.95, MinReps: 2, MaxReps: 12}},
+	} {
+		arr := &countingArrivals{built: map[float64]int{}}
+		cfg.Lambdas, cfg.Messages, cfg.Seed, cfg.Parallelism = []float64{0.05, 0.2}, 150, 4, 3
+		cfg.Scenario = scenario.Workload{Name: "counted", Arrivals: arr}
+		series, err := Run(DefaultProtocols(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, l := range cfg.Lambdas {
+			most, least := 0, math.MaxInt
+			for _, s := range series {
+				most, least = max(most, s.Points[j].Runs), min(least, s.Points[j].Runs)
+			}
+			if arr.built[l] != most {
+				t.Fatalf("%+v λ=%v: %d instances built for at most %d runs per protocol", cfg.Precision, l, arr.built[l], most)
+			}
+			if cfg.Precision.Enabled() && j == 1 && most == least {
+				t.Fatalf("λ=%v: every protocol stopped at %d runs; want a case where they differ", l, most)
+			}
+		}
+	}
+}
+
+// TestInstancesDroppedWhenNoPointCanRead pins the instance cache's
+// lifetime rule: an instance goes once every point at its λ has run it
+// or stopped short of it, and one built after a point stopped does not
+// wait for that point.
+func TestInstancesDroppedWhenNoPointCanRead(t *testing.T) {
+	t.Parallel()
+	c := &instances{
+		build:   func(int, int) (scenario.Instance, error) { return scenario.Instance{}, nil },
+		points:  2,
+		live:    map[[2]int]*instance{},
+		stopped: make([]int, 1),
+	}
+	c.get(0, 0) // point A runs 0
+	c.release(0, 0)
+	c.get(0, 1) // point A runs 1
+	c.release(0, 1)
+	if len(c.live) != 2 {
+		t.Fatalf("%d live instances, want 2 until point B reads or passes them", len(c.live))
+	}
+	c.get(0, 0) // point B runs 0, then stops
+	c.release(0, 0)
+	c.stop(0, 1)
+	if len(c.live) != 0 {
+		t.Fatalf("%d live instances after every point ran or passed them, want 0", len(c.live))
+	}
+	c.get(0, 2) // point A runs 2, after B stopped: A is its only reader
+	c.release(0, 2)
+	if len(c.live) != 0 {
+		t.Fatalf("instance built after a point stopped still waits for it")
+	}
+}

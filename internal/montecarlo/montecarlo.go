@@ -155,7 +155,7 @@ func (p Precision) converged(s *stats.Summary) bool {
 	return half <= p.Epsilon*mean
 }
 
-// Result is one adaptive point estimate.
+// Result is one point's estimate.
 type Result struct {
 	// Stats folds the primary metric of replications 0..Reps-1 in index
 	// order — byte-identical to what fixed-rep mode at Runs = Reps would
@@ -164,7 +164,8 @@ type Result struct {
 	// Reps is the number of replications executed.
 	Reps int
 	// Converged reports whether the precision target was met (false when
-	// the run stopped at MaxReps still short of it).
+	// the run stopped at MaxReps still short of it; under a disabled
+	// Precision only a zero-width interval meets it).
 	Converged bool
 	// HalfWidth is the final Student-t half-width at the requested
 	// confidence.
@@ -192,11 +193,12 @@ type Result struct {
 //
 // Workers start the lowest-numbered point with a replication ready to
 // run, so callers list the costliest points first; with parallelism 1
-// replications run one after another in point order. The first failure
-// (lowest point, then lowest replication, among those that ran) stops
-// new replications, as does ctx cancellation, whose error is returned;
-// replications already running finish. A panicking task fails like an
-// erroring one, with the stack in its error.
+// replications run one after another in point order. A failure stops
+// new replications, as does ctx cancellation; replications already
+// running finish. Grid then returns ctx's error, or else the failure of
+// the lowest point, then lowest replication, among those that ran. A
+// panicking task fails like an erroring one, with the stack in its
+// error.
 func Grid(ctx context.Context, prec Precision, runs, parallelism, points int,
 	task func(point, rep int) (float64, func(last bool), error)) ([]Result, error) {
 	prec = prec.WithDefaults()

@@ -248,8 +248,11 @@ type Config struct {
 	Lambdas []float64
 	// Messages is the number of messages per execution (default 2000).
 	Messages int
-	// Runs is the number of executions per (protocol, λ) (default 3). It
-	// is ignored when Precision is enabled.
+	// Runs is the number of executions per (protocol, λ) (default 3).
+	// When Precision is enabled it does not set the replication count;
+	// it only bounds how many runs per λ share one workload instance
+	// across protocols, which trades build time for memory and never
+	// changes a result.
 	Runs int
 	// Precision, when enabled (Epsilon > 0), switches the sweep to
 	// adaptive-precision replication (internal/montecarlo): each
@@ -368,13 +371,23 @@ func (p *Point) fold(out *outcome) {
 }
 
 // instances shares each (λ, run) scenario instance among a sweep's
-// protocols: the first execution that needs it builds it, and it is
-// dropped once every protocol's point at that λ has run it or stopped
-// short of it, so memory follows the executions in flight rather than
-// the grid.
+// protocols. The first execution that needs one builds it, and the
+// cache holds it until every point at that λ has run it or stopped
+// short of it.
+//
+// Only runs below Runs are held. In fixed-rep mode that is every run;
+// the points of a λ start all their runs before the next λ's start, so
+// besides the instances running executions use, the cache holds at most
+// one λ's runs. Under adaptive precision a protocol may run all MaxReps
+// replications before the next protocol starts, and holding each for
+// the others would keep them all live. There only the first Runs are
+// shared (Runs defaults to 3, as MinReps does), and each later run is
+// built by the execution that runs it. Every build of (λ, run) draws
+// the same stream, so sharing never changes a result.
 type instances struct {
 	build   func(lIdx, run int) (scenario.Instance, error)
 	points  int // points per λ, one per protocol
+	runs    int // runs below this are shared
 	mu      sync.Mutex
 	live    map[[2]int]*instance // by (λ index, run)
 	stopped []int                // by λ index: points that finished
@@ -391,6 +404,9 @@ type instance struct {
 // A point that has not yet run it cannot have stopped past it, so its
 // readers are the λ's points that have not stopped.
 func (c *instances) get(lIdx, run int) (scenario.Instance, error) {
+	if run >= c.runs {
+		return c.build(lIdx, run)
+	}
 	key := [2]int{lIdx, run}
 	c.mu.Lock()
 	e := c.live[key]
@@ -492,7 +508,8 @@ func RunContext(ctx context.Context, protocols []Protocol, cfg Config) ([]Series
 	// last. Every protocol faces the identical instance of each (λ, run)
 	// — arrival sequence, jam mask and population assignment — because
 	// the instance stream ignores the protocol: a matched-pairs
-	// comparison, built once per (λ, run) in both modes.
+	// comparison. Protocols share the instances of runs below Runs (see
+	// instances), so a fixed-rep sweep builds each (λ, run) once.
 	n := len(protocols)
 	at := func(i int) (protoIdx, lIdx int) { return i % n, len(lambdas) - 1 - i/n }
 	insts := &instances{
@@ -501,6 +518,7 @@ func RunContext(ctx context.Context, protocols []Protocol, cfg Config) ([]Series
 				rng.NewStream(seed, "throughput-workload", scn.Name, fmt.Sprint(lambdas[lIdx]), fmt.Sprint(run)))
 		},
 		points:  n,
+		runs:    runs,
 		live:    map[[2]int]*instance{},
 		stopped: make([]int, len(lambdas)),
 	}

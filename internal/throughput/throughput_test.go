@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -507,33 +508,44 @@ func (c *countingArrivals) Generate(n int, lambda float64, src *rng.Rand) (dynam
 	return scenario.Poisson{}.Generate(n, lambda, src)
 }
 
-// TestInstancesBuiltOncePerRun: every protocol reads the same (λ, run)
-// instance, and each is built exactly once, in fixed-rep and adaptive
-// mode alike — also when protocols stop at different replication
-// counts.
-func TestInstancesBuiltOncePerRun(t *testing.T) {
+// TestInstancesShared: every protocol reads the same (λ, run)
+// instance. A fixed-rep sweep builds each one once. Under adaptive
+// precision, where protocols stop at different replication counts,
+// only the first Runs runs are shared: later protocols rebuild the
+// rest, but no execution builds more than its own.
+func TestInstancesShared(t *testing.T) {
 	t.Parallel()
 	for _, cfg := range []Config{
-		{Runs: 3},
-		{Precision: montecarlo.Precision{Epsilon: 0.05, Confidence: 0.95, MinReps: 2, MaxReps: 12}},
+		{Runs: 3, Parallelism: 3},
+		{Runs: 3, Parallelism: 1},
+		{Runs: 2, Precision: montecarlo.Precision{Epsilon: 0.05, Confidence: 0.95, MinReps: 2, MaxReps: 12}, Parallelism: 3},
 	} {
 		arr := &countingArrivals{built: map[float64]int{}}
-		cfg.Lambdas, cfg.Messages, cfg.Seed, cfg.Parallelism = []float64{0.05, 0.2}, 150, 4, 3
+		cfg.Lambdas, cfg.Messages, cfg.Seed = []float64{0.05, 0.2}, 150, 4
 		cfg.Scenario = scenario.Workload{Name: "counted", Arrivals: arr}
 		series, err := Run(DefaultProtocols(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j, l := range cfg.Lambdas {
-			most, least := 0, math.MaxInt
+			most, least, all := 0, math.MaxInt, 0
 			for _, s := range series {
 				most, least = max(most, s.Points[j].Runs), min(least, s.Points[j].Runs)
+				all += s.Points[j].Runs
 			}
-			if arr.built[l] != most {
-				t.Fatalf("%+v λ=%v: %d instances built for at most %d runs per protocol", cfg.Precision, l, arr.built[l], most)
+			built := arr.built[l]
+			if !cfg.Precision.Enabled() {
+				if built != most {
+					t.Fatalf("%+v λ=%v: %d instances built for %d runs per protocol", cfg, l, built, most)
+				}
+				continue
 			}
-			if cfg.Precision.Enabled() && j == 1 && most == least {
+			if j == 1 && most == least {
 				t.Fatalf("λ=%v: every protocol stopped at %d runs; want a case where they differ", l, most)
+			}
+			// Runs 0 and 1 are built once; every other execution builds its own.
+			if want := all - (len(series)-1)*cfg.Runs; built != want {
+				t.Fatalf("λ=%v: %d instances built for %d executions, want %d", l, built, all, want)
 			}
 		}
 	}
@@ -548,6 +560,7 @@ func TestInstancesDroppedWhenNoPointCanRead(t *testing.T) {
 	c := &instances{
 		build:   func(int, int) (scenario.Instance, error) { return scenario.Instance{}, nil },
 		points:  2,
+		runs:    4,
 		live:    map[[2]int]*instance{},
 		stopped: make([]int, 1),
 	}
@@ -568,5 +581,40 @@ func TestInstancesDroppedWhenNoPointCanRead(t *testing.T) {
 	c.release(0, 2)
 	if len(c.live) != 0 {
 		t.Fatalf("instance built after a point stopped still waits for it")
+	}
+}
+
+// TestInstancesHeldBelowRuns: the cache holds only runs below Runs; a
+// point that runs past them builds the rest for itself, and so does
+// every later point.
+func TestInstancesHeldBelowRuns(t *testing.T) {
+	t.Parallel()
+	builds := map[int]int{}
+	c := &instances{
+		build: func(_, run int) (scenario.Instance, error) {
+			builds[run]++
+			return scenario.Instance{}, nil
+		},
+		points:  3,
+		runs:    2,
+		live:    map[[2]int]*instance{},
+		stopped: make([]int, 1),
+	}
+	for point := 0; point < 3; point++ {
+		for run := 0; run < 5; run++ {
+			c.get(0, run)
+			if len(c.live) > c.runs {
+				t.Fatalf("point %d run %d: %d instances held, want at most %d", point, run, len(c.live), c.runs)
+			}
+			c.release(0, run)
+		}
+		c.stop(0, 5)
+	}
+	want := map[int]int{0: 1, 1: 1, 2: 3, 3: 3, 4: 3}
+	if !reflect.DeepEqual(builds, want) {
+		t.Fatalf("builds by run %v, want %v", builds, want)
+	}
+	if len(c.live) != 0 {
+		t.Fatalf("%d live instances after every point stopped", len(c.live))
 	}
 }

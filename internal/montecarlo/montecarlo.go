@@ -163,13 +163,6 @@ type Result struct {
 	Stats stats.Summary
 	// Reps is the number of replications executed.
 	Reps int
-	// Converged reports whether the precision target was met (false when
-	// the run stopped at MaxReps still short of it; under a disabled
-	// Precision only a zero-width interval meets it).
-	Converged bool
-	// HalfWidth is the final Student-t half-width at the requested
-	// confidence.
-	HalfWidth float64
 }
 
 // Grid replicates task over points × replications on one pool of at
@@ -340,9 +333,7 @@ func (g *grid) complete(i, rep int, v float64, fold func(bool), err error) {
 		p.res.Reps++
 		last := false
 		if p.res.Reps == g.stops[p.stop] {
-			p.res.HalfWidth = p.res.Stats.CIAt(g.prec.Confidence)
-			p.res.Converged = g.prec.converged(&p.res.Stats)
-			if p.res.Converged || p.stop == len(g.stops)-1 {
+			if p.stop == len(g.stops)-1 || g.prec.converged(&p.res.Stats) {
 				p.done, last = true, true
 			} else {
 				p.stop++

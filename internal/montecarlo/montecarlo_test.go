@@ -89,14 +89,14 @@ func TestZeroVarianceStopsAtMinReps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reps != 2 || !res.Converged {
-		t.Fatalf("Reps=%d Converged=%v, want 2/true", res.Reps, res.Converged)
+	if res.Reps != 2 {
+		t.Fatalf("Reps=%d, want 2", res.Reps)
 	}
 	if got := calls.Load(); got != 2 {
 		t.Fatalf("task called %d times, want 2", got)
 	}
-	if res.Stats.Mean() != 42 || res.HalfWidth != 0 {
-		t.Fatalf("mean=%v half=%v, want 42/0", res.Stats.Mean(), res.HalfWidth)
+	if res.Stats.Mean() != 42 || res.Stats.Variance() != 0 {
+		t.Fatalf("mean=%v var=%v, want 42/0", res.Stats.Mean(), res.Stats.Variance())
 	}
 }
 
@@ -116,7 +116,7 @@ func TestParallelismDoesNotChangeResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Reps != base.Reps || got.Stats.Mean() != base.Stats.Mean() ||
-			got.Stats.Variance() != base.Stats.Variance() || got.HalfWidth != base.HalfWidth {
+			got.Stats.Variance() != base.Stats.Variance() {
 			t.Fatalf("parallelism %d: (reps=%d mean=%v var=%v) != serial (reps=%d mean=%v var=%v)",
 				par, got.Reps, got.Stats.Mean(), got.Stats.Variance(),
 				base.Reps, base.Stats.Mean(), base.Stats.Variance())
@@ -166,8 +166,8 @@ func TestStopsAtMaxRepsWithoutConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reps != 17 || res.Converged {
-		t.Fatalf("Reps=%d Converged=%v, want 17/false", res.Reps, res.Converged)
+	if res.Reps != 17 {
+		t.Fatalf("Reps=%d, want 17", res.Reps)
 	}
 }
 
@@ -296,9 +296,9 @@ func TestGridPointsMatchAlone(t *testing.T) {
 		}
 		for i := range tasks {
 			if !reflect.DeepEqual(got[i], alone[i]) {
-				t.Fatalf("parallelism %d point %d: reps=%d converged=%v mean=%v half=%v, alone reps=%d converged=%v mean=%v half=%v",
-					par, i, got[i].Reps, got[i].Converged, got[i].Stats.Mean(), got[i].HalfWidth,
-					alone[i].Reps, alone[i].Converged, alone[i].Stats.Mean(), alone[i].HalfWidth)
+				t.Fatalf("parallelism %d point %d: reps=%d mean=%v var=%v, alone reps=%d mean=%v var=%v",
+					par, i, got[i].Reps, got[i].Stats.Mean(), got[i].Stats.Variance(),
+					alone[i].Reps, alone[i].Stats.Mean(), alone[i].Stats.Variance())
 			}
 		}
 	}

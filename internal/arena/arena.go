@@ -74,7 +74,8 @@ type Config struct {
 	// DefaultMessages).
 	Messages int
 	// Runs is the number of executions per (protocol, scenario) cell
-	// (default DefaultRuns). Ignored when Precision is enabled.
+	// (default DefaultRuns). When Precision is enabled it only bounds
+	// instance sharing, as throughput.Config.Runs describes.
 	Runs int
 	// Seed is the master seed (default 1). Workload randomness is keyed
 	// by (Seed, scenario, λ, run) only, so every protocol faces

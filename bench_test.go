@@ -1,19 +1,16 @@
-// Benchmarks regenerating the paper's evaluation artifacts. One bench per
-// table and figure:
-//
-//   - BenchmarkFigure1: the data behind Figure 1 — slots to solve static
-//     k-selection per protocol and network size (mean slots reported as
-//     the "slots" metric).
-//   - BenchmarkTable1: Table 1 — the steps/nodes ratio (reported as the
-//     "steps/k" metric, to be read against the analysis constants 7.8,
-//     4.4, 7.4, 14.9 and Θ(loglog k/logloglog k)).
-//
-// plus the ablation benches listed in DESIGN.md. Benchmark network sizes
-// stop at 10⁵ to keep `go test -bench=. ./...` in the minutes range; the
-// paper's full 10⁷ grid is regenerated by `go run ./cmd/macsim table1
-// -maxexp 7 -runs 10`, and one recorded run of it lives in
-// docs/table1-full-grid.md (docs/paper-map.md maps every artifact to
-// its reproduction command).
+// Benchmarks regenerating the paper's evaluation artifacts.
+// BenchmarkFigure1 times the data behind Figure 1 and Table 1: slots to
+// solve static k-selection per protocol and network size, reported as
+// the "slots" metric and as Table 1's steps/nodes ratio "steps/k" (to be
+// read against the analysis constants 7.8, 4.4, 7.4, 14.9 and
+// Θ(loglog k/logloglog k)); -bench 'Figure1/One-Fail' reruns one row.
+// The benches only time those rows: TestRunJSONGoldens (cmd/macsim)
+// pins the Table 1 values byte for byte. The ablation benches are listed
+// in DESIGN.md. Benchmark network sizes stop at 10⁵ to keep `go test
+// -bench=. ./...` in the minutes range; the paper's full 10⁷ grid is
+// regenerated by `go run ./cmd/macsim table1 -maxexp 7 -runs 10`, and
+// one recorded run of it lives in docs/table1-full-grid.md
+// (docs/paper-map.md maps every artifact to its reproduction command).
 package mac
 
 import (
@@ -57,19 +54,6 @@ func runSystem(b *testing.B, sys harness.System, k int) {
 // BenchmarkFigure1 regenerates the Figure 1 series: average slots to
 // solve static k-selection for the paper's five protocol configurations.
 func BenchmarkFigure1(b *testing.B) {
-	for _, sys := range harness.PaperSystems() {
-		for _, k := range benchKs {
-			b.Run(fmt.Sprintf("%s/k=%d", sys.Name(), k), func(b *testing.B) {
-				runSystem(b, sys, k)
-			})
-		}
-	}
-}
-
-// BenchmarkTable1 regenerates the Table 1 ratios. The data is the same
-// as Figure 1's; the benchmark exists so each table row can be rerun in
-// isolation (e.g. -bench 'Table1/One-Fail').
-func BenchmarkTable1(b *testing.B) {
 	for _, sys := range harness.PaperSystems() {
 		for _, k := range benchKs {
 			b.Run(fmt.Sprintf("%s/k=%d", sys.Name(), k), func(b *testing.B) {

@@ -8,7 +8,8 @@
 // structure but not every constant of the original papers. The
 // reconstruction decisions and their calibration are documented in
 // DESIGN.md ("Substitutions and reconstructions") and assessed against the
-// paper's Table 1 by the BenchmarkTable1 rows pinned in BENCH_BASE.json
+// paper's Table 1 by the "Log-Fails Adaptive (2)" and "(10)" series of
+// cmd/macsim's TestRunJSONGoldens, which pin that table byte for byte
 // (docs/paper-map.md, "§5 Evaluation").
 package baseline
 

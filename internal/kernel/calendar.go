@@ -2,49 +2,49 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
 // Calendar is a two-level timing wheel holding pending transmission
 // attempts: station ids keyed by future slot numbers. It is the event
-// queue of dynamic.WindowEngine, the windowed event engine, replacing a
-// binary min-heap: Schedule and PopGroup cost amortized O(1) per attempt
-// instead of O(log n), and popping a slot yields the whole colliding
-// group at once.
+// queue of dynamic.WindowEngine: Schedule and PopGroup cost amortized
+// O(1) per attempt, against O(log n) for the binary heap it replaced,
+// and popping a slot yields the whole colliding group at once.
 //
-//   - Level 0 is a window of calL0Len consecutive slots, one bucket per
-//     slot, with an occupancy bitmap scanned by trailing-zero counts.
-//   - Level 1 is calL1Len coarse buckets of calL0Len slots each — a
-//     horizon of 2²⁶ slots past the current position. When level 0 is
-//     exhausted, the next occupied coarse bucket is spilled into it.
-//   - Attempts beyond the horizon go to an unordered overflow list; when
-//     both wheels run dry the calendar re-bases at the overflow minimum.
-//     With the paper's window schedules the horizon covers every window
-//     drawn below ~10⁷ contenders, so overflow is a rare slow path.
+//   - Level 0 holds calL0Len consecutive slots, one bucket each: the span
+//     of level-1 bucket l1Cur.
+//   - Level 1 holds calL1Len coarse buckets of calL0Len slots, a horizon
+//     of 2²⁶ slots past l1Base. When level 0 runs dry, the next occupied
+//     coarse bucket spills into it.
+//   - Attempts beyond the horizon wait in an overflow bucket; when both
+//     wheels run dry the calendar re-bases at its minimum. The paper's
+//     window schedules stay inside the horizon below ~10⁷ contenders.
 //
-// Each attempt is touched at most three times (insert, spill, pop), so a
-// run costs O(attempts), not O(attempts·log n). The zero value is NOT
-// ready to use; call NewCalendar.
+// Every bucket is a FIFO list threaded through one link per station id,
+// beside which the id's pending slot is kept: a fixed 128 KiB of list
+// ends, plus per-id arrays that grow by doubling. An id has at most one
+// pending attempt; scheduling it again panics, as scheduling into the
+// past does. Spills and re-bases re-file ids in list order through
+// Schedule's insert path, so every attempt for a slot passes through the
+// same buckets in the same order and pops in scheduling order. Outside
+// the overflow an attempt is touched at most three times (insert, spill,
+// pop). The zero value is NOT ready to use; call NewCalendar.
 type Calendar struct {
-	l0     [][]int32 // per-slot buckets for [l0Base, l0Base+calL0Len)
-	l0map  []uint64  // occupancy bitmap over l0
-	l0Base uint64    // slot of l0[0]
-	l0Cur  int       // next l0 index to scan
-
-	l1     [][]calEv // coarse buckets for [l1Base, l1Base+horizon)
-	l1map  []uint64  // occupancy bitmap over l1
-	l1Base uint64    // slot of l1[0]'s span start
-	l1Cur  int       // coarse bucket currently expanded into l0; -1 if none
-
-	over []calEv // attempts beyond the horizon, unordered
-	n    int
+	lists  []calList // level-0 slot buckets, then level-1 coarse buckets
+	over   calList   // attempts beyond the horizon, in scheduling order
+	occ    []uint64  // occupancy bitmap over lists
+	link   []int32   // per id: next id in its bucket, calNil, or calIdle
+	at     []uint64  // per id: slot of its pending attempt
+	l0Base uint64    // slot of level-0 bucket 0
+	l0Cur  int       // next level-0 bucket to scan
+	l1Base uint64    // slot where level-1 bucket 0 begins
+	l1Cur  int       // level-1 bucket that level 0 spans
+	n      int
 }
 
-// calEv is one scheduled attempt held at level 1 or in overflow.
-type calEv struct {
-	slot uint64
-	id   int32
-}
+// calList is a FIFO list of ids; tail is stale while head is calNil.
+type calList struct{ head, tail int32 }
 
 const (
 	calL0Bits   = 13
@@ -53,172 +53,152 @@ const (
 	calL1Len    = 1 << calL1Bits      // coarse buckets
 	calHorizon  = calL0Len * calL1Len // slots covered past l1Base
 	calMapWords = calL0Len / 64
+
+	calNil  = -1 // end of a list
+	calIdle = -2 // link of an id with no pending attempt
 )
 
 // NewCalendar returns an empty calendar positioned at slot 0.
 func NewCalendar() *Calendar {
-	return &Calendar{
-		l0:    make([][]int32, calL0Len),
-		l0map: make([]uint64, calMapWords),
-		l0Cur: calL0Len,
-		l1:    make([][]calEv, calL1Len),
-		l1map: make([]uint64, calMapWords),
-		l1Cur: -1,
+	lists := make([]calList, calL0Len+calL1Len)
+	for b := range lists {
+		lists[b].head = calNil
 	}
+	return &Calendar{lists: lists, over: calList{head: calNil}, occ: make([]uint64, 2*calMapWords)}
 }
 
 // Len returns the number of scheduled attempts.
 func (c *Calendar) Len() int { return c.n }
 
 // Schedule inserts an attempt by station id at the given slot, which must
-// not precede the most recently popped slot.
+// follow the last popped slot; id, a small non-negative index, must have
+// no attempt pending.
 func (c *Calendar) Schedule(slot uint64, id int32) {
+	if scan := c.l0Base + uint64(c.l0Cur); slot < scan {
+		panic(fmt.Sprintf("kernel: Calendar.Schedule(%d) behind scan position %d", slot, scan))
+	}
+	if int(id) >= len(c.link) {
+		c.grow(int(id) + 1)
+	}
+	if c.link[id] != calIdle {
+		panic(fmt.Sprintf("kernel: Calendar.Schedule(%d, %d): id already pending at %d", slot, id, c.at[id]))
+	}
+	c.at[id] = slot
+	c.file(id)
 	c.n++
-	if c.l1Cur >= 0 && slot >= c.l0Base && slot < c.l0Base+calL0Len {
-		i := int(slot - c.l0Base)
-		if i < c.l0Cur {
-			c.n--
-			panic(fmt.Sprintf("kernel: Calendar.Schedule(%d) behind scan position %d", slot, c.l0Base+uint64(c.l0Cur)))
+}
+
+// grow extends the per-id arrays to at least n entries, doubling.
+func (c *Calendar) grow(n int) {
+	n = max(n, 2*len(c.link))
+	link := make([]int32, n)
+	for i := copy(link, c.link); i < n; i++ {
+		link[i] = calIdle
+	}
+	at := make([]uint64, n)
+	copy(at, c.at)
+	c.link, c.at = link, at
+}
+
+// file appends id to the bucket holding its slot, which lies at or
+// after the scan position: a level-0 slot bucket, a level-1 coarse
+// bucket past l1Cur, or the overflow.
+func (c *Calendar) file(id int32) {
+	slot := c.at[id]
+	l := &c.over
+	if slot-c.l1Base < calHorizon {
+		b := calL0Len + int((slot-c.l1Base)>>calL0Bits)
+		if slot-c.l0Base < calL0Len {
+			b = int(slot - c.l0Base)
 		}
-		c.l0[i] = append(c.l0[i], id)
-		c.l0map[i>>6] |= 1 << (i & 63)
-		return
+		c.occ[b>>6] |= 1 << (b & 63)
+		l = &c.lists[b]
 	}
-	if slot >= c.l1Base && slot < c.l1Base+calHorizon {
-		j := int((slot - c.l1Base) >> calL0Bits)
-		if j > c.l1Cur {
-			c.l1[j] = append(c.l1[j], calEv{slot: slot, id: id})
-			c.l1map[j>>6] |= 1 << (j & 63)
-			return
-		}
-		// j ≤ l1Cur with the slot outside the l0 window: the past.
-		c.n--
-		panic(fmt.Sprintf("kernel: Calendar.Schedule(%d) before current window at %d", slot, c.l0Base))
+	c.link[id] = calNil
+	if l.head == calNil {
+		l.head = id
+	} else {
+		c.link[l.tail] = id
 	}
-	if slot < c.l1Base {
-		c.n--
-		panic(fmt.Sprintf("kernel: Calendar.Schedule(%d) before wheel base %d", slot, c.l1Base))
-	}
-	c.over = append(c.over, calEv{slot: slot, id: id})
+	l.tail = id
 }
 
 // PopGroup removes and returns the earliest occupied slot together with
-// every station scheduled at it, appended to buf[:0] (so callers can
-// reuse one buffer across events). It returns (0, nil) when empty.
+// every station scheduled at it, in scheduling order, appended to
+// buf[:0] (so callers can reuse one buffer across events). It returns
+// (0, nil) when empty.
 func (c *Calendar) PopGroup(buf []int32) (uint64, []int32) {
-	for c.n > 0 {
-		// Level 0: next occupied slot bucket at or after the scan position.
-		if i := nextBit(c.l0map, c.l0Cur); i >= 0 {
-			slot := c.l0Base + uint64(i)
-			buf = append(buf[:0], c.l0[i]...)
-			c.l0[i] = c.l0[i][:0]
-			c.l0map[i>>6] &^= 1 << (i & 63)
-			c.l0Cur = i + 1
-			c.n -= len(buf)
-			return slot, buf
-		}
-		// Level 1: spill the next occupied coarse bucket into level 0.
-		if j := nextBit(c.l1map, c.l1Cur+1); j >= 0 {
-			c.l1Cur = j
-			c.l0Base = c.l1Base + uint64(j)<<calL0Bits
-			c.l0Cur = 0
-			for _, e := range c.l1[j] {
-				i := int(e.slot - c.l0Base)
-				c.l0[i] = append(c.l0[i], e.id)
-				c.l0map[i>>6] |= 1 << (i & 63)
-			}
-			c.l1[j] = c.l1[j][:0]
-			c.l1map[j>>6] &^= 1 << (j & 63)
-			continue
-		}
-		// Both wheels dry: re-base the horizon at the overflow minimum and
-		// pull every attempt that now fits back into level 1.
-		min := c.over[0].slot
-		for _, e := range c.over[1:] {
-			if e.slot < min {
-				min = e.slot
-			}
-		}
-		c.l1Base = min
-		c.l1Cur = -1
-		c.l0Cur = calL0Len
-		kept := c.over[:0]
-		for _, e := range c.over {
-			if e.slot < c.l1Base+calHorizon {
-				j := int((e.slot - c.l1Base) >> calL0Bits)
-				c.l1[j] = append(c.l1[j], e)
-				c.l1map[j>>6] |= 1 << (j & 63)
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		c.over = kept
+	i := c.advance(math.MaxUint64)
+	if i < 0 {
+		return 0, nil
 	}
-	return 0, nil
+	buf = buf[:0]
+	for id := c.lists[i].head; id != calNil; {
+		buf = append(buf, id)
+		next := c.link[id]
+		c.link[id] = calIdle
+		id = next
+	}
+	c.lists[i].head = calNil
+	c.occ[i>>6] &^= 1 << (i & 63)
+	c.l0Cur = i + 1
+	c.n -= len(buf)
+	return c.l0Base + uint64(i), buf
 }
 
 // PeekWithin reports the earliest occupied slot if it is at most limit,
-// without removing anything. Crucially for callers that generate work
-// lazily — live sessions add each aggregation window's arrivals to
-// dynamic.WindowEngine only when the window opens — the scan position
-// never advances past limit: level-1 buckets are spilled (and the overflow
-// re-based) only when their span begins at or before limit, so after a
-// miss every slot strictly after limit remains schedulable. The wheels
-// are monotone (everything outside the level-0 window lies at higher
-// slots), so inspecting the level-0 bitmap alone decides the answer
-// once the earliest material is spilled in.
+// without removing anything. The scan position never passes limit, so
+// after a miss every slot after limit stays schedulable: live sessions
+// add each window's arrivals to dynamic.WindowEngine only as it opens.
 func (c *Calendar) PeekWithin(limit uint64) (uint64, bool) {
-	for c.n > 0 {
-		if c.l1Cur >= 0 {
-			if i := nextBit(c.l0map, c.l0Cur); i >= 0 {
-				slot := c.l0Base + uint64(i)
-				if slot > limit {
-					return 0, false
-				}
-				return slot, true
-			}
-		}
-		if j := nextBit(c.l1map, c.l1Cur+1); j >= 0 {
-			if c.l1Base+uint64(j)<<calL0Bits > limit {
-				return 0, false
-			}
-			c.l1Cur = j
-			c.l0Base = c.l1Base + uint64(j)<<calL0Bits
-			c.l0Cur = 0
-			for _, e := range c.l1[j] {
-				i := int(e.slot - c.l0Base)
-				c.l0[i] = append(c.l0[i], e.id)
-				c.l0map[i>>6] |= 1 << (i & 63)
-			}
-			c.l1[j] = c.l1[j][:0]
-			c.l1map[j>>6] &^= 1 << (j & 63)
-			continue
-		}
-		min := c.over[0].slot
-		for _, e := range c.over[1:] {
-			if e.slot < min {
-				min = e.slot
-			}
-		}
-		if min > limit {
-			return 0, false
-		}
-		c.l1Base = min
-		c.l1Cur = -1
-		c.l0Cur = calL0Len
-		kept := c.over[:0]
-		for _, e := range c.over {
-			if e.slot < c.l1Base+calHorizon {
-				j := int((e.slot - c.l1Base) >> calL0Bits)
-				c.l1[j] = append(c.l1[j], e)
-				c.l1map[j>>6] |= 1 << (j & 63)
-			} else {
-				kept = append(kept, e)
-			}
-		}
-		c.over = kept
+	i := c.advance(limit)
+	if i < 0 {
+		return 0, false
 	}
-	return 0, false
+	return c.l0Base + uint64(i), true
+}
+
+// advance returns the level-0 bucket of the earliest pending slot, or -1
+// if none lies at or before limit. A dry level 0 takes the next occupied
+// coarse bucket or, with level 1 dry too, re-bases both wheels at the
+// overflow minimum, either only if the opened span begins by limit.
+// Everything outside level 0 lies at higher slots.
+func (c *Calendar) advance(limit uint64) int {
+	for c.n > 0 {
+		if i := nextBit(c.occ[:calMapWords], c.l0Cur); i >= 0 {
+			if c.l0Base+uint64(i) > limit {
+				return -1
+			}
+			return i
+		}
+		l, base := &c.over, uint64(math.MaxUint64)
+		j := nextBit(c.occ[calMapWords:], c.l1Cur+1)
+		if j >= 0 {
+			l, base = &c.lists[calL0Len+j], c.l1Base+uint64(j)<<calL0Bits
+		} else {
+			for id := c.over.head; id != calNil; id = c.link[id] {
+				base = min(base, c.at[id])
+			}
+		}
+		if l.head == calNil || base > limit { // every bucket empty: never spin
+			return -1
+		}
+		if j < 0 {
+			j, c.l1Base = 0, base
+		} else {
+			b := calL0Len + j
+			c.occ[b>>6] &^= 1 << (b & 63)
+		}
+		c.l1Cur, c.l0Base, c.l0Cur = j, base, 0
+		id := l.head
+		l.head = calNil
+		for id != calNil {
+			next := c.link[id]
+			c.file(id)
+			id = next
+		}
+	}
+	return -1
 }
 
 // nextBit returns the index of the first set bit at or after position

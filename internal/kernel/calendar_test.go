@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 
 // TestCalendarDrainsInOrder inserts a random multiset of (slot, id)
 // attempts — spanning level 0, level 1 and the overflow — and checks that
-// PopGroup yields exactly the sorted groups.
+// PopGroup yields the groups in slot order, each slot's ids in scheduling
+// order. Ids are a scrambled permutation, so popping sorted ids fails.
 func TestCalendarDrainsInOrder(t *testing.T) {
 	t.Parallel()
 	src := rng.New(42)
@@ -28,7 +30,7 @@ func TestCalendarDrainsInOrder(t *testing.T) {
 		default:
 			slot = 1 + src.Uint64n(calHorizon*5) // overflow
 		}
-		id := int32(i)
+		id := int32(i * 7919 % 20000)
 		c.Schedule(slot, id)
 		if len(want[slot]) == 0 {
 			slots = append(slots, slot)
@@ -46,14 +48,8 @@ func TestCalendarDrainsInOrder(t *testing.T) {
 		if got != s {
 			t.Fatalf("popped slot %d, want %d", got, s)
 		}
-		if len(buf) != len(want[s]) {
-			t.Fatalf("slot %d: popped %d ids, want %d", s, len(buf), len(want[s]))
-		}
-		sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-		for i, id := range want[s] {
-			if buf[i] != id {
-				t.Fatalf("slot %d: ids %v, want %v", s, buf, want[s])
-			}
+		if !slices.Equal(buf, want[s]) {
+			t.Fatalf("slot %d: ids %v, want %v in scheduling order", s, buf, want[s])
 		}
 	}
 	if c.Len() != 0 {
@@ -121,6 +117,34 @@ func TestCalendarPastSchedulePanics(t *testing.T) {
 		}
 	}()
 	c.Schedule(99, 2)
+}
+
+// TestCalendarPendingSchedulePanics: an id has at most one pending
+// attempt. Scheduling it again, whether it waits in level 0, level 1 or
+// the overflow, is a caller bug that must panic and leave the lists
+// intact.
+func TestCalendarPendingSchedulePanics(t *testing.T) {
+	t.Parallel()
+	for _, first := range []uint64{5, 70_000, calHorizon + 5} {
+		c := NewCalendar()
+		c.Schedule(first, 1)
+		c.Schedule(first, 2)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("rescheduling id 1, pending at %d, did not panic", first)
+				}
+			}()
+			c.Schedule(3, 1)
+		}()
+		if slot, ids := c.PopGroup(nil); slot != first || !slices.Equal(ids, []int32{1, 2}) || c.Len() != 0 {
+			t.Fatalf("pop = %d %v with Len %d, want %d [1 2] with Len 0", slot, ids, c.Len(), first)
+		}
+		c.Schedule(first+1, 1) // popped ids are free again
+		if slot, ids := c.PopGroup(nil); slot != first+1 || !slices.Equal(ids, []int32{1}) {
+			t.Fatalf("pop = %d %v, want %d [1]", slot, ids, first+1)
+		}
+	}
 }
 
 // TestCalendarPeekWithin: the lazy-generation contract of PeekWithin —
@@ -199,5 +223,104 @@ func TestCalendarPeekWithin(t *testing.T) {
 	}
 	if slot, group := c4.PopGroup(nil); slot != 7 || len(group) != 2 {
 		t.Fatalf("pop = %d %v, want slot 7 with 2 ids", slot, group)
+	}
+}
+
+// FuzzCalendar decodes bytes into Schedule, PeekWithin and PopGroup steps
+// and checks each against a reference map of slot → ids in scheduling
+// order. Each step takes four bytes: an operation, then a distance past
+// the floor the contract allows (dense, within level 0, within the
+// level-1 horizon, or beyond it, which forces re-bases). The floor is s+1
+// after a pop at s, s after a peek hit at s and limit+1 after a miss at
+// limit. The calendar is drained at the end.
+func FuzzCalendar(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := NewCalendar()
+		ref := map[uint64][]int32{}
+		pending := 0
+		var floor uint64
+		var idle []int32 // ids with nothing pending, reused last first
+		fresh := int32(0)
+		earliest := func() (uint64, bool) {
+			var min uint64
+			found := false
+			for s := range ref {
+				if !found || s < min {
+					min, found = s, true
+				}
+			}
+			return min, found
+		}
+		pop := func() bool {
+			want, ok := earliest()
+			slot, ids := c.PopGroup(nil)
+			if !ok {
+				if ids != nil {
+					t.Fatalf("empty calendar popped %d %v", slot, ids)
+				}
+				return false
+			}
+			if slot != want || !slices.Equal(ids, ref[want]) {
+				t.Fatalf("pop = %d %v, want %d %v", slot, ids, want, ref[want])
+			}
+			delete(ref, want)
+			pending -= len(ids)
+			idle = append(idle, ids...)
+			floor = want + 1
+			return true
+		}
+		for ; len(data) >= 4; data = data[4:] {
+			op, d := data[0], fuzzDistance(data[1], data[2], data[3])
+			switch op % 4 {
+			case 0, 1:
+				id := fresh
+				if n := len(idle); n > 0 && op&4 != 0 {
+					id, idle = idle[n-1], idle[:n-1]
+				} else {
+					fresh++
+				}
+				c.Schedule(floor+d, id)
+				ref[floor+d] = append(ref[floor+d], id)
+				pending++
+			case 2:
+				limit := floor + d
+				want, ok := earliest()
+				ok = ok && want <= limit
+				slot, hit := c.PeekWithin(limit)
+				if hit != ok || (ok && slot != want) {
+					t.Fatalf("PeekWithin(%d) = %d, %v; want %d, %v", limit, slot, hit, want, ok)
+				}
+				if hit {
+					floor = slot
+				} else {
+					floor = limit + 1
+				}
+			default:
+				pop()
+			}
+			if c.Len() != pending {
+				t.Fatalf("Len = %d, want %d", c.Len(), pending)
+			}
+		}
+		for pop() {
+		}
+		if c.Len() != 0 {
+			t.Fatalf("Len = %d after draining", c.Len())
+		}
+	})
+}
+
+// fuzzDistance maps three bytes to a distance past the floor.
+func fuzzDistance(class, hi, lo byte) uint64 {
+	v := uint64(hi)<<8 | uint64(lo)
+	switch class % 4 {
+	case 0:
+		return v % 16 // dense: collisions
+	case 1:
+		return v % (2 * calL0Len) // level 0 and the next coarse bucket
+	case 2:
+		return v << 10 // across the level-1 horizon
+	default:
+		return calHorizon + v<<12 // overflow
 	}
 }

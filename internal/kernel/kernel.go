@@ -1,5 +1,5 @@
 // Package kernel is the event-skip simulation core shared by the engines
-// in internal/engine, internal/sim and internal/dynamic. It exploits one
+// in internal/engine and internal/dynamic. It exploits one
 // observation about the paper's protocols: almost every slot is silent,
 // and silence carries no information a protocol acts on beyond simple
 // counting — so executions can jump from interesting slot to interesting
@@ -22,10 +22,11 @@
 //     inclusion–exclusion distribution in O(1) series terms.
 //
 //   - Calendar (calendar.go) is a two-level hierarchical timing wheel
-//     holding pending transmission attempts, the event queue behind the
-//     per-station event-driven paths in internal/sim and
-//     internal/dynamic. O(1) amortized per scheduled attempt, against
-//     O(log n) for the binary heap it replaces.
+//     holding pending transmission attempts, the event queue behind
+//     dynamic.WindowEngine, which batch runs (dynamic.RunWindowEvent)
+//     and live sessions (internal/session) step. O(1) amortized per
+//     scheduled attempt, against O(log n) for the binary heap it
+//     replaces.
 //
 // Every sampler consumes randomness from the caller's rng.Rand stream, so
 // rep-indexed reproducibility (internal/montecarlo) is preserved: a given

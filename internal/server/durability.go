@@ -83,10 +83,11 @@ func (s *Server) persistCanceled(j *job) {
 // evicted: the registry and the store retire terminal jobs together,
 // bounding the data-dir the same way JobsRetained bounds memory.
 // (Result documents are content-addressed and kept — they are the
-// persistent cache, not per-job state.)
+// persistent cache, not per-job state.) A failed delete leaves a stale
+// record behind and counts as a store error.
 func (s *Server) dropEvicted(ids []string) {
 	for _, id := range ids {
-		_ = s.store.DeleteJob(id)
+		s.metrics.deleted(s.store.DeleteJob(id))
 	}
 }
 

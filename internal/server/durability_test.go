@@ -56,8 +56,8 @@ func waitTerminalRecord(t *testing.T, st store.Store, id string) store.JobRecord
 	}
 }
 
-// failingStore is a store.Store whose writes all fail, as on a full or
-// read-only disk; reads go to the wrapped store.
+// failingStore is a store.Store whose writes and deletes all fail, as on
+// a full or read-only disk; reads go to the wrapped store.
 type failingStore struct{ store.Store }
 
 var errDiskFull = errors.New("no space left on device")
@@ -65,6 +65,8 @@ var errDiskFull = errors.New("no space left on device")
 func (failingStore) PutJob(store.JobRecord) error         { return errDiskFull }
 func (failingStore) PutResult(string, []byte) error       { return errDiskFull }
 func (failingStore) PutSession(store.SessionRecord) error { return errDiskFull }
+func (failingStore) DeleteJob(string) error               { return errDiskFull }
+func (failingStore) DeleteSession(string) error           { return errDiskFull }
 
 // TestStoreWriteErrorsCounted: a failed store write is never silent. It
 // moves macsimd_store_errors_total, not the writes counter, and the job
@@ -87,6 +89,57 @@ func TestStoreWriteErrorsCounted(t *testing.T) {
 	}
 	if w := metricValue(t, ts.URL, "macsimd_store_writes_total"); w != 0 {
 		t.Fatalf("macsimd_store_writes_total = %v, want 0 when every write fails", w)
+	}
+}
+
+// TestStoreDeleteErrorsCounted: with JobsRetained 1, each new job or
+// session evicts the previous terminal one and deletes its record. A
+// failed delete moves macsimd_store_errors_total, not the writes counter.
+func TestStoreDeleteErrorsCounted(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{Store: failingStore{store.Mem(0)}, JobsRetained: 1}, false)
+	waitErrors := func(want float64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for metricValue(t, ts.URL, "macsimd_store_errors_total") < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("macsimd_store_errors_total = %v, want %v",
+					metricValue(t, ts.URL, "macsimd_store_errors_total"), want)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	// Each job fails four writes: queued, running and terminal records and
+	// the result document. The second job evicts the first, whose delete
+	// fails too.
+	_, first := post(t, ts.URL+"/v1/solve", `{"k":200,"seed":11}`)
+	waitDone(t, ts.URL, first.ID)
+	waitErrors(4)
+	_, second := post(t, ts.URL+"/v1/solve", `{"k":200,"seed":12}`)
+	waitDone(t, ts.URL, second.ID)
+	waitErrors(4 + 4 + 1)
+
+	// Each session fails its record write when it ends; the second evicts
+	// the first, whose delete fails too.
+	endSession := func(body string) {
+		t.Helper()
+		v := openSession(t, ts.URL, body)
+		deadline := time.Now().Add(10 * time.Second)
+		for _, got := getSessionView(t, ts.URL, v.ID); got.Status == "running"; _, got = getSessionView(t, ts.URL, v.ID) {
+			if time.Now().After(deadline) {
+				t.Fatalf("session %s still running", v.ID)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	endSession(`{"window": 16, "maxWindows": 2}`)
+	waitErrors(9 + 1)
+	endSession(`{"window": 16, "maxWindows": 2, "seed": 2}`)
+	waitErrors(10 + 1 + 1)
+	if e := metricValue(t, ts.URL, "macsimd_store_errors_total"); e != 12 {
+		t.Fatalf("macsimd_store_errors_total = %v, want 12", e)
+	}
+	if w := metricValue(t, ts.URL, "macsimd_store_writes_total"); w != 0 {
+		t.Fatalf("macsimd_store_writes_total = %v, want 0", w)
 	}
 }
 

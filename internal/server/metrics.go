@@ -32,7 +32,7 @@ type metrics struct {
 
 	// Durability (internal/store).
 	storeWrites    atomic.Int64 // job records and result documents persisted
-	storeErrors    atomic.Int64 // store writes that failed (the job carries on in memory)
+	storeErrors    atomic.Int64 // store writes and deletes that failed (the daemon carries on in memory)
 	storeReads     atomic.Int64 // records and results read back from the store
 	storeRecovered atomic.Int64 // job records replayed by the boot recovery pass
 	storeRequeued  atomic.Int64 // recovered jobs put back on the queue
@@ -62,6 +62,13 @@ func (m *metrics) stored(err error) {
 		m.storeErrors.Add(1)
 	} else {
 		m.storeWrites.Add(1)
+	}
+}
+
+// deleted counts a failed store delete; a successful one is not a write.
+func (m *metrics) deleted(err error) {
+	if err != nil {
+		m.storeErrors.Add(1)
 	}
 }
 
@@ -119,7 +126,7 @@ func (m *metrics) render(now time.Time, gauges map[string]float64) string {
 	counter("macsimd_slots_simulated_total", "channel slots simulated across all jobs", m.slotsSimulated.Load())
 	counter("macsimd_reps_saved_total", "replications adaptive-precision stopping saved against the maxReps worst case", m.repsSaved.Load())
 	counter("macsimd_store_writes_total", "job records and result documents persisted to the store", m.storeWrites.Load())
-	counter("macsimd_store_errors_total", "store writes that failed; the job carried on in memory", m.storeErrors.Load())
+	counter("macsimd_store_errors_total", "store writes and deletes that failed; the daemon carried on in memory", m.storeErrors.Load())
 	counter("macsimd_store_reads_total", "records and result documents read back from the store", m.storeReads.Load())
 	counter("macsimd_store_recovered_total", "job records replayed by the boot recovery pass", m.storeRecovered.Load())
 	counter("macsimd_store_requeued_total", "recovered jobs put back on the queue", m.storeRequeued.Load())

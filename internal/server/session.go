@@ -238,7 +238,7 @@ func (s *Server) handleOpenSession(w http.ResponseWriter, r *http.Request) {
 	}
 	ls.sess = sess
 	for _, id := range s.sessionReg.add(ls) {
-		_ = s.store.DeleteSession(id)
+		s.metrics.deleted(s.store.DeleteSession(id))
 	}
 	s.metrics.sessionsOpened.Add(1)
 	// Persist the terminal record the moment the session ends, whatever

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -139,6 +140,12 @@ func open(ctx context.Context, sp spec.SessionSpec, replayLog []spec.ControlMess
 	if err != nil {
 		return nil, err
 	}
+	return start(ctx, sp, e, replayLog, opts), nil
+}
+
+// start runs e as the session of sp on its own goroutine: live, or
+// replaying replayLog when it is non-nil.
+func start(ctx context.Context, sp spec.SessionSpec, e *engine, replayLog []spec.ControlMessage, opts []Option) *Session {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -161,7 +168,7 @@ func open(ctx context.Context, sp spec.SessionSpec, replayLog []spec.ControlMess
 	} else {
 		go s.run(ctx, e)
 	}
-	return s, nil
+	return s
 }
 
 // Spec returns the initial validated spec.
@@ -447,6 +454,7 @@ func (s *Session) logControl(msg spec.ControlMessage) {
 // run is the live session loop: apply queued controls at the window
 // boundary, honor pacing and pauses, simulate one window, repeat.
 func (s *Session) run(ctx context.Context, e *engine) {
+	defer s.recoverPanic()
 	var tickC <-chan time.Time
 	if s.spec.Pace > 0 {
 		interval := time.Duration(float64(time.Second) / s.spec.Pace)
@@ -528,6 +536,7 @@ func (s *Session) run(ctx context.Context, e *engine) {
 // apply (in order) every content control stamped for the boundary
 // slot, exactly as the live loop did.
 func (s *Session) runReplay(ctx context.Context, e *engine, log []spec.ControlMessage) {
+	defer s.recoverPanic()
 	i := 0
 	for {
 		for i < len(log) && log[i].Slot <= e.next {
@@ -572,6 +581,15 @@ func (s *Session) replayLog(prefix []spec.ControlMessage) {
 	s.log = s.log[:0]
 	s.log = append(s.log, prefix...)
 	s.mu.Unlock()
+}
+
+// recoverPanic, deferred by the session goroutine, fails the session when
+// its simulation panics, with the stack in the error, so one bad session
+// ends itself rather than the process and every session and job in it.
+func (s *Session) recoverPanic() {
+	if r := recover(); r != nil {
+		s.fail(fmt.Errorf("session: engine panicked: %v\n%s", r, debug.Stack()))
+	}
 }
 
 // fail records a terminal engine error.

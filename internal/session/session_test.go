@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dynamic"
+	"repro/internal/protocol"
 	"repro/internal/spec"
 )
 
@@ -408,5 +410,43 @@ func TestSwapRebuildsBacklog(t *testing.T) {
 	defer mu.Unlock()
 	if arrivals != delivered+backlog {
 		t.Fatalf("conservation violated: %d arrivals, %d delivered + %d backlog", arrivals, delivered, backlog)
+	}
+}
+
+// TestEnginePanicFailsSession: a panic in simulation code, here a
+// schedule constructor that panics on its 21st call, fails that session
+// with the panic and its stack in the error, for live sessions and
+// replays alike, and the process (this test binary) survives.
+func TestEnginePanicFailsSession(t *testing.T) {
+	t.Parallel()
+	sp := spec.SessionSpec{Protocol: spec.ProtocolSpec{Name: "exp-bb"}, Lambda: 0.2, Seed: 3, Window: 32}
+	if err := sp.Validate(spec.Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, replayLog := range [][]spec.ControlMessage{nil, {}} {
+		e, err := newEngine(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		newSched, err := windowSchedules(sp.Protocol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := 0
+		e.win = dynamic.NewWindowEngine(func() (protocol.Schedule, error) {
+			if calls++; calls > 20 {
+				panic("schedule constructor broke")
+			}
+			return newSched()
+		}, e.src, dynamic.ClockLocal, nil)
+		s := start(context.Background(), sp, e, replayLog, nil)
+		err = s.Wait()
+		if err == nil || !strings.Contains(err.Error(), "panicked: schedule constructor broke") ||
+			!strings.Contains(err.Error(), "goroutine") {
+			t.Fatalf("replay=%v: Wait() = %v, want the panic and its stack", replayLog != nil, err)
+		}
+		if st := s.Status(); st != StatusFailed {
+			t.Fatalf("replay=%v: status %q, want %q", replayLog != nil, st, StatusFailed)
+		}
 	}
 }

@@ -202,6 +202,16 @@ func (s *Session) Control(ctx context.Context, msg spec.ControlMessage) (spec.Co
 		return rep.msg, rep.err
 	case <-ctx.Done():
 		return spec.ControlMessage{}, ctx.Err()
+	case <-s.endC:
+		// The session ended after taking the control: a reply sent
+		// before the end is already buffered; otherwise it failed
+		// while applying it.
+		select {
+		case rep := <-req.reply:
+			return rep.msg, rep.err
+		default:
+			return spec.ControlMessage{}, fmt.Errorf("session: ended while applying the control")
+		}
 	}
 }
 

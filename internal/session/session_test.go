@@ -450,3 +450,38 @@ func TestEnginePanicFailsSession(t *testing.T) {
 		}
 	}
 }
+
+// TestControlPanicFailsSession: a control whose application panics fails
+// the session, and the Control call that sent it returns an error
+// instead of waiting for a reply that never comes.
+func TestControlPanicFailsSession(t *testing.T) {
+	t.Parallel()
+	// Pace 1 holds the first window for a second, so the control is
+	// applied before any simulation; a nil window engine makes the jam
+	// control panic.
+	sp := spec.SessionSpec{Protocol: spec.ProtocolSpec{Name: "exp-bb"}, Lambda: 0.2, Seed: 3, Window: 32, Pace: 1}
+	if err := sp.Validate(spec.Limits{}); err != nil {
+		t.Fatal(err)
+	}
+	e, err := newEngine(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.win = nil
+	s := start(context.Background(), sp, e, nil, nil)
+	msg, err := spec.ParseControl("jam on")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := s.Control(ctx, msg); err == nil || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Control = %v, want the session's end", err)
+	}
+	if err := s.Wait(); err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("Wait() = %v, want the panic", err)
+	}
+	if st := s.Status(); st != StatusFailed {
+		t.Fatalf("status %q, want %q", st, StatusFailed)
+	}
+}
